@@ -1,7 +1,8 @@
 // Benchmark for the blocked batch-distance engine (distance/batch.h):
 // scalar per-point scans vs the norm-expanded per-point scan vs the tiled
-// 4×2 blocked kernels, across (n, k, d) grids, plus the k-means|| round
-// update (MinDistanceTracker::AddCenters) that sits on top of it. The
+// 4×2 blocked kernels, across (n, k, d) grids, the single-center scan of
+// a k-means++ step, plus the k-means|| round update
+// (MinDistanceTracker::AddCenters) that sits on top of it. The
 // numbers recorded in README.md ("Distance engine") and the
 // kExpandedKernelMinDim constant come from this benchmark.
 //
@@ -106,6 +107,21 @@ void BM_BlockedExpanded(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockedExpanded)->Apply(KernelGrid);
 
+// --- Single center: the k-means++ step shape ----------------------------
+
+// Each k-means++ step merges one new center into every point's distance,
+// so the whole scan runs in the residue path (k mod kCenterTile = 1).
+void SingleCenterGrid(benchmark::internal::Benchmark* b) {
+  for (int64_t n : {4096, 32768}) {
+    for (int64_t d : {16, 64, 128}) b->Args({n, 1, d});
+  }
+}
+
+void BM_SingleCenter(benchmark::State& state) {
+  RunBlocked(state, BatchKernel::kAuto);
+}
+BENCHMARK(BM_SingleCenter)->Apply(SingleCenterGrid);
+
 // --- k-means|| round update on top of the engine ------------------------
 
 // One k-means|| round: merge `k` new centers into an existing tracker
@@ -207,6 +223,11 @@ void BM_Smoke(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * k);
 }
 BENCHMARK(BM_Smoke);
+
+void BM_SingleCenterSmoke(benchmark::State& state) {
+  RunBlocked(state, BatchKernel::kAuto);
+}
+BENCHMARK(BM_SingleCenterSmoke)->Args({96, 1, 17})->Args({96, 1, 64});
 
 }  // namespace
 }  // namespace kmeansll

@@ -40,26 +40,31 @@ Result<Matrix> ReclusterCandidates(const Matrix& candidates,
                                    const std::vector<double>& weights,
                                    int64_t k, rng::Rng rng,
                                    const KMeansLLOptions& options,
+                                   ThreadPool* pool,
                                    InitTelemetry* telemetry) {
   WallTimer timer;
   KMEANSLL_ASSIGN_OR_RETURN(
       Dataset coreset,
       Dataset::WithWeights(candidates, weights));
 
-  KMeansPPOptions pp_options = options.recluster_kmeanspp;
-  KMEANSLL_ASSIGN_OR_RETURN(
-      InitResult seeded,
-      KMeansPPInit(coreset, k, rng.Fork(rng::StreamPurpose::kRecluster),
-                   pp_options));
-
-  Matrix centers = std::move(seeded.centers);
+  // k-means++ stays inline: each of its k steps is one short scan of the
+  // coreset, too short to gain from a pool (see the header).
+  Matrix centers;
+  {
+    KMEANSLL_TRACE_SPAN("seeding.recluster.kmeanspp");
+    KMEANSLL_ASSIGN_OR_RETURN(
+        InitResult seeded,
+        KMeansPPInit(coreset, k, rng.Fork(rng::StreamPurpose::kRecluster),
+                     options.recluster_kmeanspp, /*pool=*/nullptr));
+    centers = std::move(seeded.centers);
+  }
   if (options.recluster == ReclusterMethod::kWeightedKMeansPPPlusLloyd &&
       options.recluster_lloyd_iterations > 0) {
+    KMEANSLL_TRACE_SPAN("seeding.recluster.lloyd");
     LloydOptions lloyd_options;
     lloyd_options.max_iterations = options.recluster_lloyd_iterations;
-    KMEANSLL_ASSIGN_OR_RETURN(
-        LloydResult refined,
-        RunLloyd(coreset, centers, lloyd_options, /*pool=*/nullptr));
+    KMEANSLL_ASSIGN_OR_RETURN(LloydResult refined,
+                              RunLloyd(coreset, centers, lloyd_options, pool));
     centers = std::move(refined.centers);
   }
   if (telemetry != nullptr) {
@@ -273,7 +278,7 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
       internal::ReclusterCandidates(candidates, weights, k, rng, options,
-                                    &result.telemetry));
+                                    pool, &result.telemetry));
   return result;
 }
 

@@ -183,16 +183,18 @@ Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
   Matrix candidates = GatherPoints(data, all_selected);
   result.telemetry.sampling_seconds = timer.ElapsedSeconds();
 
-  // Phase 2 (sequential): vanilla weighted k-means++ on the union.
+  // Phase 2 (sequential): recluster the weighted union.
   if (candidates.rows() <= k) {
     result.centers = std::move(candidates);
     return result;
   }
-  KMeansLLOptions recluster_options;  // defaults: pure weighted k-means++
+  // Defaults: weighted k-means++ refined by 30 coreset Lloyd iterations.
+  KMeansLLOptions recluster_options;
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
       internal::ReclusterCandidates(candidates, weights, k, rng,
-                                    recluster_options, &result.telemetry));
+                                    recluster_options, /*pool=*/nullptr,
+                                    &result.telemetry));
   return result;
 }
 

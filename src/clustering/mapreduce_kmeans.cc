@@ -469,7 +469,7 @@ Result<InitResult> MRKMeansLLInit(const DatasetSource& data, int64_t k,
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
       internal::ReclusterCandidates(candidates, weights, k, rng, options,
-                                    &result.telemetry));
+                                    ctx.pool, &result.telemetry));
   return result;
 }
 
@@ -646,7 +646,7 @@ Result<InitResult> MRPartitionInit(const DatasetSource& data, int64_t k,
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
       internal::ReclusterCandidates(candidates, weights, k, rng,
-                                    recluster_options,
+                                    recluster_options, ctx.pool,
                                     &result.telemetry));
   return result;
 }

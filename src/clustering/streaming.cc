@@ -159,7 +159,7 @@ Result<Matrix> StreamingKMeans::Finalize() {
   return internal::ReclusterCandidates(
       coreset_points_, coreset_weights_, options_.k,
       rng_.Fork(rng::StreamPurpose::kRecluster), recluster_options,
-      &telemetry);
+      /*pool=*/nullptr, &telemetry);
 }
 
 }  // namespace kmeansll

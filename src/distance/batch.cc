@@ -87,30 +87,26 @@ void SqPanel1Generic(const double* x, const double* panel, int64_t d,
   }
 }
 
-// Narrow-panel variants for the trailing k % kCenterTile centers (panel
-// stride = width). Runtime trip count; padding the residue to a full
-// panel would make small-k callers (k-means++ adds one center at a time)
-// pay kCenterTile× the flops, so the residue is computed exactly. Like
-// the full panels they come in a portable version and an FMA version
-// (below) so the per-pair chain is the same in the residue as in the
-// micro-kernel on every machine.
-void DotPanelTailGeneric(const double* x, const double* panel, int64_t d,
-                         int64_t width, double* acc) {
-  for (int64_t t = 0; t < d; ++t) {
-    const double* row = panel + t * width;
-    const double xt = x[t];
-    for (int64_t j = 0; j < width; ++j) acc[j] += xt * row[j];
-  }
-}
-
-void SqPanelTailGeneric(const double* x, const double* panel, int64_t d,
-                        int64_t width, double* acc) {
+// Narrow-panel variant for the trailing k % kCenterTile centers (panel
+// stride = width), one point row at a time. Runtime trip count; padding
+// the residue to a full panel would make small-k callers (k-means++ adds
+// one center at a time) pay kCenterTile× the flops, so the residue is
+// computed exactly. On FMA machines the residue runs the point-grouped
+// kernel below instead, so the per-pair chain is the same in the residue
+// as in the micro-kernel on every machine.
+template <bool kPlain>
+void PanelTailGeneric(const double* x, const double* panel, int64_t d,
+                      int64_t width, double* acc) {
   for (int64_t t = 0; t < d; ++t) {
     const double* row = panel + t * width;
     const double xt = x[t];
     for (int64_t j = 0; j < width; ++j) {
-      double e = xt - row[j];
-      acc[j] += e * e;
+      if constexpr (kPlain) {
+        double e = xt - row[j];
+        acc[j] += e * e;
+      } else {
+        acc[j] += xt * row[j];
+      }
     }
   }
 }
@@ -267,34 +263,56 @@ __attribute__((target("fma"))) double PairSqFma(const double* a,
   return acc;
 }
 
-// FMA tail variants: on machines where the full panels run the AVX2+FMA
-// micro-kernels, the residue must accumulate with the same fused chain,
-// or a pair's value would depend on which panel its center landed in.
-__attribute__((target("fma"))) void DotPanelTailFma(const double* x,
-                                                    const double* panel,
-                                                    int64_t d,
-                                                    int64_t width,
-                                                    double* acc) {
+// Residue micro-kernel: P point rows against the narrow trailing panel
+// (width < kCenterTile, stride = width), V = ceil(width / 4) vector
+// accumulators per row. One residue center per row leaves a single
+// latency-bound chain, so the kernel interleaves point rows instead:
+// P·V independent chains (8 for widths up to 8, 6–8 above) keep the FMA
+// units at throughput. Each lane is still one (point, center) pair
+// accumulated with fma in coordinate order from 0.0 — the full-panel
+// lane chain — so values do not depend on how rows are grouped. Only the
+// last vector can be partial; its masked lanes load as zero, never touch
+// memory past the row, and land in acc slots the caller does not read.
+// Row r's results go to acc[r * kCenterTile + j].
+template <int P, int V, bool kPlain>
+__attribute__((target("avx2,fma"))) void PanelTailAvx2(
+    const double* const* x, const double* panel, int64_t d, int64_t width,
+    double* acc) {
+  const __m256i last_mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(width - 4 * (V - 1)), _mm256_setr_epi64x(0, 1, 2, 3));
+  // Full unrolling keeps a[][] in registers (GCC otherwise mirrors it
+  // to the stack on every step).
+  __m256d a[P][V];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) a[p][v] = _mm256_setzero_pd();
+  }
   for (int64_t t = 0; t < d; ++t) {
     const double* row = panel + t * width;
-    const double xt = x[t];
-    for (int64_t j = 0; j < width; ++j) {
-      acc[j] = __builtin_fma(xt, row[j], acc[j]);
+    __m256d r[V];
+#pragma GCC unroll 4
+    for (int v = 0; v + 1 < V; ++v) r[v] = _mm256_loadu_pd(row + 4 * v);
+    r[V - 1] = _mm256_maskload_pd(row + 4 * (V - 1), last_mask);
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) {
+      const __m256d xv = _mm256_broadcast_sd(x[p] + t);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        if constexpr (kPlain) {
+          const __m256d e = _mm256_sub_pd(xv, r[v]);
+          a[p][v] = _mm256_fmadd_pd(e, e, a[p][v]);
+        } else {
+          a[p][v] = _mm256_fmadd_pd(xv, r[v], a[p][v]);
+        }
+      }
     }
   }
-}
-
-__attribute__((target("fma"))) void SqPanelTailFma(const double* x,
-                                                   const double* panel,
-                                                   int64_t d,
-                                                   int64_t width,
-                                                   double* acc) {
-  for (int64_t t = 0; t < d; ++t) {
-    const double* row = panel + t * width;
-    const double xt = x[t];
-    for (int64_t j = 0; j < width; ++j) {
-      double e = xt - row[j];
-      acc[j] = __builtin_fma(e, e, acc[j]);
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_pd(acc + p * kCenterTile + 4 * v, a[p][v]);
     }
   }
 }
@@ -319,10 +337,9 @@ inline double PairDotFma(const double*, const double*, int64_t) {
 inline double PairSqFma(const double*, const double*, int64_t) {
   return 0.0;
 }
-inline void DotPanelTailFma(const double*, const double*, int64_t, int64_t,
-                            double*) {}
-inline void SqPanelTailFma(const double*, const double*, int64_t, int64_t,
-                           double*) {}
+template <int P, int V, bool kPlain>
+inline void PanelTailAvx2(const double* const*, const double*, int64_t,
+                          int64_t, double*) {}
 #endif  // defined(__x86_64__)
 
 // Dispatch wrappers. The AVX2 kernels store their register accumulators
@@ -372,22 +389,35 @@ inline void SqPanel1(const double* x, const double* panel, int64_t d,
   }
 }
 
-// Tail dispatch (accumulates in place; the caller zero-fills).
-inline void DotPanelTail(const double* x, const double* panel, int64_t d,
-                         int64_t width, double* acc) {
-  if (kUseAvx2) {
-    DotPanelTailFma(x, panel, d, width, acc);
-  } else {
-    DotPanelTailGeneric(x, panel, d, width, acc);
-  }
+// Point rows per residue-kernel call for a residue panel of `width`
+// centers (see PanelTailAvx2). 2, 4 and 8 all divide kPointTile, so a
+// group never straddles a point tile.
+inline constexpr int64_t kMaxTailRows = 8;
+inline int64_t TailGroupRows(int64_t width) {
+  return width <= 4 ? 8 : width <= 8 ? 4 : 2;
 }
 
-inline void SqPanelTail(const double* x, const double* panel, int64_t d,
-                        int64_t width, double* acc) {
+// Residue panel against a group of TailGroupRows(width) point rows
+// x[0..group), of which the first `live` are wanted; row r's values land
+// in acc[r * kCenterTile + j]. The caller fills a short final group by
+// repeating a row: the AVX2 kernel computes the copies (free at
+// throughput), the scalar loop skips them.
+template <bool kPlain>
+void PanelTail(const double* const* x, int64_t live, const double* panel,
+               int64_t d, int64_t width, double* acc) {
   if (kUseAvx2) {
-    SqPanelTailFma(x, panel, d, width, acc);
-  } else {
-    SqPanelTailGeneric(x, panel, d, width, acc);
+    switch ((width + 3) / 4) {
+      case 1: PanelTailAvx2<8, 1, kPlain>(x, panel, d, width, acc); break;
+      case 2: PanelTailAvx2<4, 2, kPlain>(x, panel, d, width, acc); break;
+      case 3: PanelTailAvx2<2, 3, kPlain>(x, panel, d, width, acc); break;
+      default: PanelTailAvx2<2, 4, kPlain>(x, panel, d, width, acc); break;
+    }
+    return;
+  }
+  for (int64_t r = 0; r < live; ++r) {
+    double* out = acc + r * kCenterTile;
+    std::memset(out, 0, static_cast<size_t>(width) * sizeof(double));
+    PanelTailGeneric<kPlain>(x[r], panel, d, width, out);
   }
 }
 
@@ -425,6 +455,7 @@ void PanelScan(ConstMatrixView points, IndexRange rows,
   double acc1[kCenterTile];
   double d2v0[kCenterTile];
   double d2v1[kCenterTile];
+  double tail_acc[kMaxTailRows * kCenterTile];
 
   // Branchless distance conversion (vectorizable) ahead of the merge.
   auto convert = [&](const double* acc, int64_t count, double pn,
@@ -475,17 +506,28 @@ void PanelScan(ConstMatrixView points, IndexRange rows,
           }
         }
       } else {
-        for (; p < pe; ++p) {
-          std::memset(acc0, 0, sizeof(acc0));
+        // Residue panel: a group of point rows per kernel call; a short
+        // final group repeats its last row, whose values are not merged.
+        const int64_t group = TailGroupRows(count);
+        for (; p < pe; p += group) {
+          const int64_t live = std::min(group, pe - p);
+          const double* x[kMaxTailRows];
+          for (int64_t r = 0; r < group; ++r) {
+            x[r] = points.Row(rows.begin + p + std::min(r, live - 1));
+          }
           if (expanded) {
-            DotPanelTail(points.Row(rows.begin + p), panel_data, d, count,
-                         acc0);
-            convert(acc0, count, point_norms[p], cn, d2v0);
-            merge(p, c_off, count, d2v0);
+            PanelTail<false>(x, live, panel_data, d, count, tail_acc);
           } else {
-            SqPanelTail(points.Row(rows.begin + p), panel_data, d, count,
-                        acc0);
-            merge(p, c_off, count, acc0);
+            PanelTail<true>(x, live, panel_data, d, count, tail_acc);
+          }
+          for (int64_t r = 0; r < live; ++r) {
+            const double* acc = tail_acc + r * kCenterTile;
+            if (expanded) {
+              convert(acc, count, point_norms[p + r], cn, d2v0);
+              merge(p + r, c_off, count, d2v0);
+            } else {
+              merge(p + r, c_off, count, acc);
+            }
           }
         }
       }

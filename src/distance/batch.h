@@ -30,12 +30,16 @@
 //    kCenterTile centers are accumulated simultaneously in independent
 //    chains (explicit AVX2+FMA on capable x86-64, selected once at
 //    startup; portable scalar otherwise), giving the FMA units enough
-//    ILP to run at throughput instead of latency.
+//    ILP to run at throughput instead of latency. The residue panel
+//    (k mod kCenterTile centers, e.g. the one new center of a k-means++
+//    step) has too few lanes for that, so its kernel interleaves 2–8
+//    point rows instead.
 //
 // Determinism contract: each (point, center) distance is accumulated in a
 // single chain in coordinate order, identical in the micro-kernel and in
-// the edge/tail paths, and center blocks are visited in ascending index
-// order with strict-< argmin updates. A point's result therefore depends
+// the edge/residue paths (however the residue kernel groups point rows),
+// and center blocks are visited in ascending index order with strict-<
+// argmin updates. A point's result therefore depends
 // only on its own row and the center set — never on tile placement or
 // thread count — so parallel callers chunking by kDeterministicChunks get
 // bitwise-identical outputs at any parallelism. PairSquaredL2 and

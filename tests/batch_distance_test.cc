@@ -1,8 +1,10 @@
 // Tests for the blocked batch-distance engine (distance/batch.h): the
 // blocked kernels agree with the scalar NearestCenterSearch reference on
 // random and adversarial (duplicate / collinear) inputs, tie-breaking is
-// identical to a sequential ascending scan, and every consumer is
-// bitwise-deterministic across thread counts (pool = null, 1, 4).
+// identical to a sequential ascending scan, the residue path at every
+// width reproduces the single-pair chains byte for byte, and every
+// consumer is bitwise-deterministic across thread counts (pool = null,
+// 1, 4).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "clustering/cost.h"
@@ -344,6 +347,97 @@ TEST(BatchEngineTest, TwoNearestSingleCenterLeavesSecondInfinite) {
   }
 }
 
+// --- Residue path: the point-grouped narrow-panel kernel ------------------
+
+// Same bytes, not merely equal values: the engine's contract is bitwise.
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+// Every residue width (k mod kCenterTile = 1..15), alone and behind one
+// full panel, at row counts around the residue kernel's point groups
+// (2, 4 or 8 rows per call) and the 64-row point tile, in both kernel
+// regimes. Every pair must hold the single-pair chain's bytes and every
+// argmin the ascending strict-< scan's: how the residue kernel groups
+// point rows may change neither.
+TEST(BatchResidueTest, EveryWidthBitwiseEqualsPairChains) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int64_t d : {1, 31, 32, 64}) {
+    for (BatchKernel kernel : {BatchKernel::kPlain, BatchKernel::kExpanded}) {
+      const bool expanded = kernel == BatchKernel::kExpanded;
+      for (int64_t width = 1; width < kCenterTile; ++width) {
+        for (int64_t k : {width, kCenterTile + width}) {
+          Matrix centers = RandomMatrix(k, d, 3000 + 7 * k + d, 3.0);
+          std::vector<double> center_norms = RowSquaredNorms(centers);
+          CenterPanels panels;
+          panels.Pack(centers);
+          for (int64_t n : {1, 7, 8, 9, 63, 64, 65, 130}) {
+            SCOPED_TRACE("d=" + std::to_string(d) +
+                         " expanded=" + std::to_string(expanded) +
+                         " k=" + std::to_string(k) +
+                         " n=" + std::to_string(n));
+            Matrix points = RandomMatrix(n, d, 4000 + 13 * n + d, 3.0);
+            const auto un = static_cast<size_t>(n);
+            // pair[c][i]: center c's column, the shape a one-center
+            // subset scan returns.
+            std::vector<std::vector<double>> pair(static_cast<size_t>(k));
+            std::vector<double> ref_best(un, inf);
+            std::vector<int32_t> ref_index(un, -1);
+            for (int64_t c = 0; c < k; ++c) {
+              auto& column = pair[static_cast<size_t>(c)];
+              column.resize(un);
+              for (int64_t i = 0; i < n; ++i) {
+                const double v =
+                    expanded
+                        ? SquaredL2Expanded(
+                              SquaredNorm(points.Row(i), d),
+                              center_norms[static_cast<size_t>(c)],
+                              PairDotProduct(points.Row(i), centers.Row(c),
+                                             d))
+                        : PairSquaredL2(points.Row(i), centers.Row(c), d);
+                column[static_cast<size_t>(i)] = v;
+                if (v < ref_best[static_cast<size_t>(i)]) {
+                  ref_best[static_cast<size_t>(i)] = v;
+                  ref_index[static_cast<size_t>(i)] =
+                      static_cast<int32_t>(c);
+                }
+              }
+            }
+
+            std::vector<double> best(un, inf);
+            std::vector<int32_t> index(un, -1);
+            BatchNearestMerge(points, IndexRange{0, n}, nullptr, panels,
+                              center_norms.data(), kernel, best.data(),
+                              index.data());
+            EXPECT_TRUE(SameBytes(best, ref_best));
+            EXPECT_EQ(index, ref_index);
+
+            for (int64_t c = 0; c < k; ++c) {
+              std::vector<double> one(un, inf);
+              std::vector<int32_t> one_index(un, -1);
+              BatchNearestMergeSubset(points.view(), IndexRange{0, n},
+                                      nullptr, panels, center_norms.data(),
+                                      kernel, IndexRange{c, c + 1},
+                                      one.data(), one_index.data());
+              EXPECT_TRUE(SameBytes(one, pair[static_cast<size_t>(c)]))
+                  << "center " << c;
+              EXPECT_EQ(one_index,
+                        std::vector<int32_t>(un, static_cast<int32_t>(c)));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Bitwise determinism across thread counts ---------------------------
 
 std::vector<std::unique_ptr<ThreadPool>> MakePools() {
@@ -424,6 +518,30 @@ TEST(BatchDeterminismTest, KMeansLLInitBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(result->centers == reference->centers);  // bitwise
     EXPECT_EQ(result->telemetry.round_potentials,
               reference->telemetry.round_potentials);  // bitwise
+  }
+}
+
+// Step 8 runs the coreset Lloyd on the caller's pool and k-means++
+// inline; the reclustered centers may not depend on the pool.
+TEST(BatchDeterminismTest, ReclusterCandidatesBitwiseIdenticalAcrossPools) {
+  const int64_t m = 400, k = 21;  // k mod kCenterTile = 5: residue path
+  Matrix candidates = RandomMatrix(m, 40, 1212, 4.0);
+  rng::Rng weight_rng(1313);
+  std::vector<double> weights(static_cast<size_t>(m));
+  for (double& w : weights) w = weight_rng.NextDouble(1.0, 10.0);
+  const KMeansLLOptions options;  // k-means++, then coreset Lloyd
+  ASSERT_EQ(options.recluster, ReclusterMethod::kWeightedKMeansPPPlusLloyd);
+  std::vector<Matrix> results;
+  for (auto& pool : MakePools()) {
+    auto r = internal::ReclusterCandidates(candidates, weights, k,
+                                           rng::MakeRootRng(77), options,
+                                           pool.get(), nullptr);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->rows(), k);
+    results.push_back(std::move(r).ValueOrDie());
+  }
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_TRUE(SameBytes(results[i], results[0])) << "pool #" << i;
   }
 }
 

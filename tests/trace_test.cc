@@ -4,6 +4,7 @@
 // compile/runtime gates — and the determinism contract: tracing is pure
 // observation, so seeding and every Lloyd variant produce bitwise
 // identical results with tracing on and off, at pool sizes null/1/4.
+// Step 8's spans nest the coreset Lloyd under its own parent.
 //
 // The tracer under test is the process-wide singleton, so every test
 // brackets itself with Reset()/Disable() and the suite never records
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -318,6 +320,82 @@ TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossVariants) {
     ExpectBitwiseEqual(traced.hamerly, plain.hamerly, "hamerly");
     ExpectBitwiseEqual(traced.elkan, plain.elkan, "elkan");
   }
+}
+
+// ------------------------------------------------------ attribution
+
+struct ParsedSpan {
+  std::string name;
+  int64_t start_ns = 0;
+  int64_t end_ns = 0;
+  std::string tid;
+};
+
+// Reads the spans back out of DumpChromeJson's fixed event format.
+std::vector<ParsedSpan> ParseSpans(const std::string& json) {
+  const auto micros_to_ns = [](const std::string& s) {
+    int64_t ns = 0;
+    for (char ch : s) {
+      if (ch != '.') ns = ns * 10 + (ch - '0');
+    }
+    return ns;
+  };
+  const auto field = [&json](const char* key, size_t from, char end,
+                             size_t* next) {
+    const size_t start = json.find(key, from) + std::strlen(key);
+    *next = json.find(end, start);
+    return json.substr(start, *next - start);
+  };
+  std::vector<ParsedSpan> spans;
+  size_t pos = 0;
+  while ((pos = json.find("{\"name\":\"", pos)) != std::string::npos) {
+    ParsedSpan span;
+    span.name = field("{\"name\":\"", pos, '"', &pos);
+    span.start_ns = micros_to_ns(field("\"ts\":", pos, ',', &pos));
+    span.end_ns =
+        span.start_ns + micros_to_ns(field("\"dur\":", pos, ',', &pos));
+    span.tid = field("\"tid\":", pos, '}', &pos);
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+// Step 8 is attributable from the trace alone: one span for its weighted
+// k-means++ and one for its coreset Lloyd, and the coreset Lloyd's
+// iterations nest inside the latter, which tells them apart from the
+// training Lloyd's.
+TEST(TraceAttributionTest, ReclusterSpansParentTheCoresetLloyd) {
+  TracerGuard guard;
+  auto generated = data::GenerateGaussMixture(
+      {.n = 600, .k = 7, .dim = 12, .center_stddev = 5.0,
+       .cluster_stddev = 1.0},
+      rng::Rng(91));
+  ASSERT_TRUE(generated.ok());
+  Tracer& tracer = Tracer::Global();
+  tracer.Enable();
+  KMeansLLOptions options;
+  options.rounds = 3;
+  auto seeded = KMeansLLInit(generated->data, 7, rng::Rng(17), options);
+  ASSERT_TRUE(seeded.ok());
+  tracer.Disable();
+  const std::vector<ParsedSpan> spans = ParseSpans(tracer.DumpChromeJson());
+#if KMEANSLL_TRACING
+  std::map<std::string, std::vector<ParsedSpan>> by_name;
+  for (const ParsedSpan& span : spans) by_name[span.name].push_back(span);
+  ASSERT_EQ(by_name["seeding.recluster.kmeanspp"].size(), 1u);
+  ASSERT_EQ(by_name["seeding.recluster.lloyd"].size(), 1u);
+  const ParsedSpan& pp = by_name["seeding.recluster.kmeanspp"][0];
+  const ParsedSpan& lloyd = by_name["seeding.recluster.lloyd"][0];
+  EXPECT_LE(pp.end_ns, lloyd.start_ns) << "k-means++ runs before Lloyd";
+  ASSERT_FALSE(by_name["lloyd.iteration"].empty());
+  for (const ParsedSpan& it : by_name["lloyd.iteration"]) {
+    EXPECT_EQ(it.tid, lloyd.tid);
+    EXPECT_GE(it.start_ns, lloyd.start_ns);
+    EXPECT_LE(it.end_ns, lloyd.end_ns);
+  }
+#else
+  EXPECT_TRUE(spans.empty());
+#endif
 }
 
 }  // namespace
