@@ -1,5 +1,5 @@
-// Ablations of the design decisions called out in DESIGN.md §5, beyond
-// the kernel/sampler micro-benchmarks:
+// Ablations of the library's design decisions, beyond the kernel/sampler
+// micro-benchmarks:
 //
 //   1. Step-8 reclustering: pure weighted k-means++ (the paper's text)
 //      vs + weighted Lloyd refinement on the coreset (our default, the

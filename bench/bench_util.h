@@ -1,10 +1,10 @@
 // Shared helpers for the table/figure reproduction harnesses.
 //
 // Scaling: the paper's KDDCup1999 runs use n = 4.8M on a 1968-node
-// cluster; the defaults here are sized for a single-core container
-// (see DESIGN.md §2). Every harness accepts --n/--k/--trials overrides
-// and honors KMEANSLL_BENCH_TRIALS / KMEANSLL_BENCH_N environment
-// variables, so larger machines can run closer to paper scale.
+// cluster; the defaults here are sized for a single-core container.
+// Every harness accepts --n/--k/--trials overrides and honors
+// KMEANSLL_BENCH_TRIALS / KMEANSLL_BENCH_N environment variables, so
+// larger machines can run closer to paper scale.
 
 #ifndef KMEANSLL_BENCH_BENCH_UTIL_H_
 #define KMEANSLL_BENCH_BENCH_UTIL_H_

@@ -6,7 +6,6 @@
 
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "clustering/minibatch.h"
 #include "common/macros.h"
@@ -60,22 +59,6 @@ void BM_LloydTenIterations(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LloydTenIterations)
-    ->Arg(20)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-// Ablation: Elkan-accelerated Lloyd.
-void BM_LloydElkanTenIterations(benchmark::State& state) {
-  const int64_t k = state.range(0);
-  Matrix centers = Seed(k);
-  LloydOptions options;
-  options.max_iterations = 10;
-  for (auto _ : state) {
-    auto result = RunLloydElkan(BenchData(), centers, options);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_LloydElkanTenIterations)
     ->Arg(20)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);

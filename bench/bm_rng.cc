@@ -1,6 +1,6 @@
 // Micro-benchmarks for the RNG substrate and the D² samplers — the
-// build-vs-draw trade-off ablation of DESIGN.md (PrefixSumSampler vs
-// AliasTable) plus the hashed per-index uniforms used by k-means||.
+// build-vs-draw trade-off ablation (PrefixSumSampler vs AliasTable) plus
+// the hashed per-index uniforms used by k-means||.
 
 #include <benchmark/benchmark.h>
 

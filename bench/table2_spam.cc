@@ -2,7 +2,7 @@
 // k ∈ {20, 50, 100}; Random, k-means++, k-means|| (ℓ = k/2 and ℓ = 2k,
 // r = 5). Costs scaled down by 10^5 as in the paper.
 //
-// The dataset is the SpamLike stand-in (DESIGN.md §2): same 4601 × 58
+// The dataset is the SpamLike stand-in (data/synthetic.h): same 4601 × 58
 // shape, heavy-tailed features, outliers.
 //
 // Expected shape: seeded methods orders of magnitude below Random; the

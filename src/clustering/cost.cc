@@ -72,12 +72,6 @@ double ComputeCost(const DatasetSource& data, const Matrix& centers,
                        /*out_cluster=*/nullptr);
 }
 
-double ComputeCost(const Dataset& data, const Matrix& centers,
-                   ThreadPool* pool, const double* point_norms) {
-  InMemorySource source = data.AsSource();
-  return ComputeCost(source, centers, pool, point_norms);
-}
-
 Assignment ComputeAssignment(const DatasetSource& data,
                              const Matrix& centers, ThreadPool* pool,
                              const double* point_norms) {
@@ -86,12 +80,6 @@ Assignment ComputeAssignment(const DatasetSource& data,
   out.cost = NearestReduce(data, centers, pool, point_norms,
                            out.cluster.data());
   return out;
-}
-
-Assignment ComputeAssignment(const Dataset& data, const Matrix& centers,
-                             ThreadPool* pool, const double* point_norms) {
-  InMemorySource source = data.AsSource();
-  return ComputeAssignment(source, centers, pool, point_norms);
 }
 
 }  // namespace kmeansll

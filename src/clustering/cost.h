@@ -48,16 +48,12 @@ double ReduceNearestWithSearch(const DatasetSource& data,
 /// non-empty and match the data dimension. `point_norms` (length n) may
 /// be null.
 ///
-/// The DatasetSource overloads are the primary implementation: they
-/// stream pinned row blocks through the frozen-panel engine, so the same
-/// reduction serves in-memory datasets and disk-resident shard stores.
-/// Results are bitwise identical between the two for the same rows (the
-/// per-chunk Kahan chains fold rows in ascending order regardless of how
-/// the chunk splits across blocks).
+/// ComputeCost and ComputeAssignment stream pinned row blocks through the
+/// frozen-panel engine, so the same reduction serves in-memory datasets
+/// and disk-resident shard stores. Results are bitwise identical between
+/// the two for the same rows (the per-chunk Kahan chains fold rows in
+/// ascending order regardless of how the chunk splits across blocks).
 double ComputeCost(const DatasetSource& data, const Matrix& centers,
-                   ThreadPool* pool = nullptr,
-                   const double* point_norms = nullptr);
-double ComputeCost(const Dataset& data, const Matrix& centers,
                    ThreadPool* pool = nullptr,
                    const double* point_norms = nullptr);
 
@@ -65,9 +61,6 @@ double ComputeCost(const Dataset& data, const Matrix& centers,
 /// `point_norms` (length n) may be null.
 Assignment ComputeAssignment(const DatasetSource& data,
                              const Matrix& centers,
-                             ThreadPool* pool = nullptr,
-                             const double* point_norms = nullptr);
-Assignment ComputeAssignment(const Dataset& data, const Matrix& centers,
                              ThreadPool* pool = nullptr,
                              const double* point_norms = nullptr);
 

@@ -282,12 +282,4 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
   return result;
 }
 
-Result<InitResult> KMeansLLInit(const Dataset& data, int64_t k,
-                                rng::Rng rng,
-                                const KMeansLLOptions& options,
-                                ThreadPool* pool) {
-  InMemorySource source = data.AsSource();
-  return KMeansLLInit(source, k, rng, options, pool);
-}
-
 }  // namespace kmeansll

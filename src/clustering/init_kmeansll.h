@@ -88,16 +88,12 @@ struct KMeansLLOptions {
 /// r·ℓ < k; see Figures 5.2/5.3), the candidate set is returned as-is
 /// without reclustering — downstream Lloyd then runs with < k centers,
 /// reproducing the degraded-quality regime the paper reports.
-Result<InitResult> KMeansLLInit(const Dataset& data, int64_t k,
-                                rng::Rng rng,
-                                const KMeansLLOptions& options = {},
-                                ThreadPool* pool = nullptr);
-
-/// As above over a DatasetSource: every data-wide pass (round updates,
-/// sampling scans, the Step 7 weighting) streams pinned row blocks. This
-/// is the paper's intended regime — k-means|| over partitioned,
-/// disk-resident data — and produces bitwise-identical centers to the
-/// in-memory overload for the same rows (tests/shard_store_test.cc).
+///
+/// Every data-wide pass (round updates, sampling scans, the Step 7
+/// weighting) streams pinned row blocks. This is the paper's intended
+/// regime — k-means|| over partitioned, disk-resident data — and a
+/// sharded source produces bitwise-identical centers to an in-memory
+/// Dataset holding the same rows (tests/shard_store_test.cc).
 Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
                                 rng::Rng rng,
                                 const KMeansLLOptions& options = {},

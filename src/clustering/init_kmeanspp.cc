@@ -152,11 +152,4 @@ Result<InitResult> KMeansPPInit(const DatasetSource& data, int64_t k,
   return result;
 }
 
-Result<InitResult> KMeansPPInit(const Dataset& data, int64_t k, rng::Rng rng,
-                                const KMeansPPOptions& options,
-                                ThreadPool* pool) {
-  InMemorySource source = data.AsSource();
-  return KMeansPPInit(source, k, rng, options, pool);
-}
-
 }  // namespace kmeansll

@@ -32,12 +32,7 @@ struct KMeansPPOptions {
 /// w-proportionally and subsequent draws use w·d² probabilities). Fails if
 /// k <= 0, k > n, or the total weight is zero. `pool` (may be null)
 /// parallelizes the per-step distance scans; results are bitwise
-/// identical at any thread count.
-Result<InitResult> KMeansPPInit(const Dataset& data, int64_t k, rng::Rng rng,
-                                const KMeansPPOptions& options = {},
-                                ThreadPool* pool = nullptr);
-
-/// As above over a DatasetSource: the D² sampling passes stream pinned
+/// identical at any thread count. The D² sampling passes stream pinned
 /// row blocks, so the seeder runs unchanged — and bitwise identically —
 /// over disk-resident shard stores.
 Result<InitResult> KMeansPPInit(const DatasetSource& data, int64_t k,

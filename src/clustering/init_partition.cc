@@ -97,13 +97,6 @@ std::vector<int64_t> KMeansSharp(const DatasetSource& data, int64_t begin,
   return selected;
 }
 
-std::vector<int64_t> KMeansSharp(const Dataset& data, int64_t begin,
-                                 int64_t end, int64_t batch,
-                                 int64_t iterations, rng::Rng rng) {
-  InMemorySource source = data.AsSource();
-  return KMeansSharp(source, begin, end, batch, iterations, rng);
-}
-
 }  // namespace internal
 
 Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
@@ -196,13 +189,6 @@ Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
                                     recluster_options, /*pool=*/nullptr,
                                     &result.telemetry));
   return result;
-}
-
-Result<InitResult> PartitionInit(const Dataset& data, int64_t k,
-                                 rng::Rng rng,
-                                 const PartitionOptions& options) {
-  InMemorySource source = data.AsSource();
-  return PartitionInit(source, k, rng, options);
 }
 
 }  // namespace kmeansll

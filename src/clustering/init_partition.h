@@ -36,14 +36,9 @@ struct PartitionOptions {
   int64_t iterations = 0;
 };
 
-/// Runs the Partition initializer. Fails if k <= 0 or k > n.
-Result<InitResult> PartitionInit(const Dataset& data, int64_t k,
-                                 rng::Rng rng,
-                                 const PartitionOptions& options = {});
-
-/// As above over a DatasetSource: each group's k-means# pass and
-/// weighting scan stream pinned row blocks, so the baseline, too, runs
-/// over disk-resident shard stores.
+/// Runs the Partition initializer. Fails if k <= 0 or k > n. Each
+/// group's k-means# pass and weighting scan stream pinned row blocks, so
+/// the baseline, too, runs over disk-resident shard stores.
 Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
                                  rng::Rng rng,
                                  const PartitionOptions& options = {});
@@ -53,9 +48,6 @@ namespace internal {
 /// Runs k-means# on rows [begin, end) of `data`; returns selected row
 /// indices (global). Exposed for unit tests.
 std::vector<int64_t> KMeansSharp(const DatasetSource& data, int64_t begin,
-                                 int64_t end, int64_t batch,
-                                 int64_t iterations, rng::Rng rng);
-std::vector<int64_t> KMeansSharp(const Dataset& data, int64_t begin,
                                  int64_t end, int64_t batch,
                                  int64_t iterations, rng::Rng rng);
 

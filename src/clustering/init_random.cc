@@ -33,9 +33,4 @@ Result<InitResult> RandomInit(const DatasetSource& data, int64_t k,
   return result;
 }
 
-Result<InitResult> RandomInit(const Dataset& data, int64_t k, rng::Rng rng) {
-  InMemorySource source = data.AsSource();
-  return RandomInit(source, k, rng);
-}
-
 }  // namespace kmeansll

@@ -15,11 +15,8 @@ namespace kmeansll {
 
 /// Selects k distinct rows uniformly at random (weights ignored: the
 /// baseline in the paper is plain uniform row sampling). Fails if
-/// k <= 0 or k > n.
-Result<InitResult> RandomInit(const Dataset& data, int64_t k, rng::Rng rng);
-
-/// As above over a DatasetSource (the selection touches no point data
-/// until the final gather, which pins each shard at most once).
+/// k <= 0 or k > n. The selection touches no point data until the final
+/// gather, which pins each shard at most once.
 Result<InitResult> RandomInit(const DatasetSource& data, int64_t k,
                               rng::Rng rng);
 

@@ -149,20 +149,4 @@ Result<LloydResult> RunLloyd(const DatasetSource& data,
   return result;
 }
 
-int64_t LloydStep(const Dataset& data, const Matrix& centers,
-                  Matrix* new_centers, Assignment* assignment,
-                  ThreadPool* pool, const double* point_norms) {
-  InMemorySource source = data.AsSource();
-  return LloydStep(source, centers, new_centers, assignment, pool,
-                   point_norms);
-}
-
-Result<LloydResult> RunLloyd(const Dataset& data,
-                             const Matrix& initial_centers,
-                             const LloydOptions& options, ThreadPool* pool,
-                             const double* point_norms) {
-  InMemorySource source = data.AsSource();
-  return RunLloyd(source, initial_centers, options, pool, point_norms);
-}
-
 }  // namespace kmeansll

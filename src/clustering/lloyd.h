@@ -61,7 +61,7 @@ struct LloydResult {
 /// Empty-cluster repair: when a cluster receives no (weighted) points, its
 /// center is reseeded to the point with the largest current cost
 /// contribution not already claimed by another repair — a deterministic
-/// policy; the paper does not specify one (DESIGN.md §5.5).
+/// policy; the paper does not specify one.
 ///
 /// `point_norms` (RowSquaredNorms of data.points(), length n) may be
 /// null, in which case the norms are computed here once per run; callers
@@ -70,17 +70,11 @@ struct LloydResult {
 ///
 /// Fails if `initial_centers` is empty or dimensions mismatch.
 ///
-/// The DatasetSource overload is the primary implementation: every
-/// assignment, centroid accumulation, repair, and cost pass streams
-/// pinned row blocks, so the same iteration runs over in-memory data and
-/// disk-resident shard stores with bitwise-identical results for the
-/// same rows.
+/// Every assignment, centroid accumulation, repair, and cost pass streams
+/// pinned row blocks, so the same iteration runs over an in-memory
+/// Dataset and disk-resident shard stores with bitwise-identical results
+/// for the same rows.
 Result<LloydResult> RunLloyd(const DatasetSource& data,
-                             const Matrix& initial_centers,
-                             const LloydOptions& options,
-                             ThreadPool* pool = nullptr,
-                             const double* point_norms = nullptr);
-Result<LloydResult> RunLloyd(const Dataset& data,
                              const Matrix& initial_centers,
                              const LloydOptions& options,
                              ThreadPool* pool = nullptr,
@@ -93,9 +87,6 @@ Result<LloydResult> RunLloyd(const Dataset& data,
 /// may be null; RunLloyd computes it once per run and threads it through
 /// every iteration so the O(n·d) norm pass is not redone per step.
 int64_t LloydStep(const DatasetSource& data, const Matrix& centers,
-                  Matrix* new_centers, Assignment* assignment,
-                  ThreadPool* pool, const double* point_norms = nullptr);
-int64_t LloydStep(const Dataset& data, const Matrix& centers,
                   Matrix* new_centers, Assignment* assignment,
                   ThreadPool* pool, const double* point_norms = nullptr);
 

@@ -287,14 +287,4 @@ Result<LloydResult> RunLloydHamerly(const DatasetSource& data,
   return result;
 }
 
-Result<LloydResult> RunLloydHamerly(const Dataset& data,
-                                    const Matrix& initial_centers,
-                                    const LloydOptions& options,
-                                    HamerlyStats* stats,
-                                    const double* point_norms) {
-  InMemorySource source = data.AsSource();
-  return RunLloydHamerly(source, initial_centers, options, stats,
-                         point_norms);
-}
-
 }  // namespace kmeansll

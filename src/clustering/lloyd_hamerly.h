@@ -23,7 +23,9 @@
 // would flip — center such data first (see README "Choosing a Lloyd
 // variant"). This is the "modification to the basic k-means algorithm"
 // extension the paper's conclusion anticipates, and bench/bm_lloyd
-// ablates it against the standard iteration.
+// ablates it against the standard iteration. It runs on one thread:
+// with a pool, standard Lloyd is faster at every measured shape (same
+// README section), so Hamerly is the single-threaded choice.
 
 #ifndef KMEANSLL_CLUSTERING_LLOYD_HAMERLY_H_
 #define KMEANSLL_CLUSTERING_LLOYD_HAMERLY_H_
@@ -47,16 +49,11 @@ struct HamerlyStats {
 /// results as RunLloyd; `stats` (optional) receives pruning counters and
 /// `point_norms` (optional, RowSquaredNorms of data.points()) skips the
 /// internal norm pass exactly as in RunLloyd.
-/// The DatasetSource overload streams pinned row blocks (the per-point
-/// bound state stays in memory — O(n) — while the points themselves may
-/// live in memory-mapped shards) and is bitwise identical to the Dataset
-/// overload for the same rows.
+/// The points stream as pinned row blocks (the per-point bound state
+/// stays in memory — O(n) — while the points themselves may live in
+/// memory-mapped shards), bitwise identical to an in-memory Dataset
+/// holding the same rows.
 Result<LloydResult> RunLloydHamerly(const DatasetSource& data,
-                                    const Matrix& initial_centers,
-                                    const LloydOptions& options,
-                                    HamerlyStats* stats = nullptr,
-                                    const double* point_norms = nullptr);
-Result<LloydResult> RunLloydHamerly(const Dataset& data,
                                     const Matrix& initial_centers,
                                     const LloydOptions& options,
                                     HamerlyStats* stats = nullptr,

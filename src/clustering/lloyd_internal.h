@@ -1,11 +1,11 @@
-// Shared machinery of the Lloyd variants (standard / Hamerly / Elkan).
+// Shared machinery of the Lloyd variants (standard / Hamerly).
 //
-// The three iterations must stay bitwise-interchangeable: same centroid
+// The two iterations must stay bitwise-interchangeable: same centroid
 // accumulation chain (fixed kDeterministicChunks replication, partials
 // combined in chunk order), same empty-cluster repair policy, same
 // distance arithmetic (the batch engine's — see distance/batch.h). This
 // header holds the pieces they share so the equivalence is enforced by
-// construction instead of by three hand-synchronized copies.
+// construction instead of by hand-synchronized copies.
 
 #ifndef KMEANSLL_CLUSTERING_LLOYD_INTERNAL_H_
 #define KMEANSLL_CLUSTERING_LLOYD_INTERNAL_H_
@@ -100,7 +100,7 @@ double AssignmentCost(const DatasetSource& data, const Matrix& centers,
                       const double* point_norms,
                       const double* center_norms, bool expanded);
 
-/// Checkpoint/resume plumbing shared by the three Lloyd runners (see
+/// Checkpoint/resume plumbing shared by the two Lloyd runners (see
 /// data/checkpoint_io.h for the artifact and docs/ARCHITECTURE.md
 /// "Fault tolerance" for the protocol).
 struct LloydCheckpointPlan {

@@ -859,42 +859,4 @@ Result<LloydResult> MRRunLloyd(const DatasetSource& data,
   return result;
 }
 
-// --- Dataset conveniences (wrap in an InMemorySource and delegate) ------
-
-Result<double> MRComputeCost(const Dataset& data, const Matrix& centers,
-                             const MRContext& ctx) {
-  InMemorySource source = data.AsSource();
-  return MRComputeCost(source, centers, ctx);
-}
-
-Result<InitResult> MRKMeansLLInit(const Dataset& data, int64_t k,
-                                  rng::Rng rng,
-                                  const KMeansLLOptions& options,
-                                  const MRContext& ctx) {
-  InMemorySource source = data.AsSource();
-  return MRKMeansLLInit(source, k, rng, options, ctx);
-}
-
-Result<InitResult> MRRandomInit(const Dataset& data, int64_t k,
-                                rng::Rng rng, const MRContext& ctx) {
-  InMemorySource source = data.AsSource();
-  return MRRandomInit(source, k, rng, ctx);
-}
-
-Result<InitResult> MRPartitionInit(const Dataset& data, int64_t k,
-                                   rng::Rng rng,
-                                   const PartitionOptions& options,
-                                   const MRContext& ctx) {
-  InMemorySource source = data.AsSource();
-  return MRPartitionInit(source, k, rng, options, ctx);
-}
-
-Result<LloydResult> MRRunLloyd(const Dataset& data,
-                               const Matrix& initial_centers,
-                               const LloydOptions& options,
-                               const MRContext& ctx) {
-  InMemorySource source = data.AsSource();
-  return MRRunLloyd(source, initial_centers, options, ctx);
-}
-
 }  // namespace kmeansll

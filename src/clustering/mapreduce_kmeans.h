@@ -54,12 +54,10 @@ struct MRContext {
 
 /// φ_X(C) computed as one MapReduce job.
 ///
-/// Every driver below has a DatasetSource overload — the primary
-/// implementation: map tasks scan partitions as pinned row-block views,
-/// so a partition of a data::ShardedDataset is a shard reference (the
-/// task pins the mmap while it scans) instead of a copied sub-dataset.
-/// The Dataset overloads wrap the data in an InMemorySource and
-/// delegate.
+/// Every driver below takes a DatasetSource (an in-memory Dataset is
+/// one): map tasks scan partitions as pinned row-block views, so a
+/// partition of a data::ShardedDataset is a shard reference (the task
+/// pins the mmap while it scans) instead of a copied sub-dataset.
 ///
 /// Every driver is fault-aware: map-task failures are retried under
 /// ctx.max_task_attempts and a task that exhausts its budget (or a
@@ -67,8 +65,6 @@ struct MRContext {
 /// driver's error Status instead of aborting the process.
 Result<double> MRComputeCost(const DatasetSource& data,
                              const Matrix& centers, const MRContext& ctx);
-Result<double> MRComputeCost(const Dataset& data, const Matrix& centers,
-                             const MRContext& ctx);
 
 /// k-means|| (Algorithm 2) with every data-wide step expressed as a
 /// MapReduce job; the reclustering of the small candidate set runs on
@@ -77,17 +73,9 @@ Result<InitResult> MRKMeansLLInit(const DatasetSource& data, int64_t k,
                                   rng::Rng rng,
                                   const KMeansLLOptions& options,
                                   const MRContext& ctx);
-Result<InitResult> MRKMeansLLInit(const Dataset& data, int64_t k,
-                                  rng::Rng rng,
-                                  const KMeansLLOptions& options,
-                                  const MRContext& ctx);
 
 /// Lloyd's iteration, one job per iteration.
 Result<LloydResult> MRRunLloyd(const DatasetSource& data,
-                               const Matrix& initial_centers,
-                               const LloydOptions& options,
-                               const MRContext& ctx);
-Result<LloydResult> MRRunLloyd(const Dataset& data,
                                const Matrix& initial_centers,
                                const LloydOptions& options,
                                const MRContext& ctx);
@@ -98,8 +86,6 @@ Result<LloydResult> MRRunLloyd(const Dataset& data,
 /// partitioning (each mapper only forwards its local top-k).
 Result<InitResult> MRRandomInit(const DatasetSource& data, int64_t k,
                                 rng::Rng rng, const MRContext& ctx);
-Result<InitResult> MRRandomInit(const Dataset& data, int64_t k,
-                                rng::Rng rng, const MRContext& ctx);
 
 /// The Partition baseline on the engine: each input split is one of the
 /// algorithm's m groups (a map task runs k-means# plus the group-local
@@ -108,10 +94,6 @@ Result<InitResult> MRRandomInit(const Dataset& data, int64_t k,
 /// that ctx.num_partitions doubles as the algorithm parameter m here;
 /// pass options.num_groups <= 0 to accept that.
 Result<InitResult> MRPartitionInit(const DatasetSource& data, int64_t k,
-                                   rng::Rng rng,
-                                   const PartitionOptions& options,
-                                   const MRContext& ctx);
-Result<InitResult> MRPartitionInit(const Dataset& data, int64_t k,
                                    rng::Rng rng,
                                    const PartitionOptions& options,
                                    const MRContext& ctx);

@@ -87,12 +87,4 @@ Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
   return result;
 }
 
-Result<MiniBatchResult> RunMiniBatch(const Dataset& data,
-                                     const Matrix& initial_centers,
-                                     const MiniBatchOptions& options,
-                                     rng::Rng rng) {
-  InMemorySource source = data.AsSource();
-  return RunMiniBatch(source, initial_centers, options, rng);
-}
-
 }  // namespace kmeansll

@@ -35,15 +35,10 @@ struct MiniBatchResult {
 };
 
 /// Refines `initial_centers` with per-center-learning-rate stochastic
-/// updates on uniformly sampled batches (Sculley's Algorithm 1).
-Result<MiniBatchResult> RunMiniBatch(const Dataset& data,
-                                     const Matrix& initial_centers,
-                                     const MiniBatchOptions& options,
-                                     rng::Rng rng);
-
-/// As above over a DatasetSource: each iteration gathers its sampled
-/// batch (points + weights) from pinned blocks, so minibatch SGD runs
-/// over disk-resident shard stores with the in-memory behavior.
+/// updates on uniformly sampled batches (Sculley's Algorithm 1). Each
+/// iteration gathers its sampled batch (points + weights) from pinned
+/// blocks, so minibatch SGD runs over disk-resident shard stores with the
+/// in-memory behavior.
 Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
                                      const Matrix& initial_centers,
                                      const MiniBatchOptions& options,

@@ -99,11 +99,6 @@ Status ValidateConfig(const KMeansConfig& config,
 
 }  // namespace
 
-Result<InitResult> KMeans::Initialize(const Dataset& data) const {
-  InMemorySource source = data.AsSource();
-  return Initialize(source);
-}
-
 Result<InitResult> KMeans::Initialize(const DatasetSource& data) const {
   return InitializeWithContext(data, nullptr, config_.seed);
 }
@@ -143,11 +138,6 @@ Result<InitResult> KMeans::InitializeWithContext(
       return PartitionInit(data, config_.k, rng, config_.partition);
   }
   return Status::InvalidArgument("unknown init method");
-}
-
-Result<KMeansReport> KMeans::Fit(const Dataset& data) const {
-  InMemorySource source = data.AsSource();
-  return Fit(source);
 }
 
 Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
@@ -219,9 +209,6 @@ Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
           case KMeansConfig::LloydVariant::kHamerly:
             return RunLloydHamerly(data, init.centers, config_.lloyd,
                                    /*stats=*/nullptr, point_norms);
-          case KMeansConfig::LloydVariant::kElkan:
-            return RunLloydElkan(data, init.centers, config_.lloyd,
-                                 /*stats=*/nullptr, point_norms);
           case KMeansConfig::LloydVariant::kStandard:
             break;
         }
@@ -257,10 +244,6 @@ Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
                         &report.model_write_retries));
   }
   return report;
-}
-
-Assignment Predict(const Matrix& centers, const Dataset& data) {
-  return ComputeAssignment(data, centers);
 }
 
 Assignment Predict(const Matrix& centers, const DatasetSource& data) {

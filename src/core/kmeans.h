@@ -28,7 +28,6 @@
 #include "clustering/init_partition.h"
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "clustering/types.h"
@@ -70,11 +69,11 @@ struct KMeansConfig {
   int64_t num_runs = 1;
 
   /// Lloyd implementation for the sequential path (the MapReduce path
-  /// always runs the standard per-job iteration). All variants produce
-  /// identical centers; the accelerated ones skip distance work via
-  /// triangle-inequality bounds (Hamerly: O(n) extra memory; Elkan:
-  /// O(n·k), strongest pruning).
-  enum class LloydVariant { kStandard, kHamerly, kElkan };
+  /// always runs the standard per-job iteration). Both variants produce
+  /// identical centers; Hamerly skips distance work via
+  /// triangle-inequality bounds (O(n) extra memory) but runs on one
+  /// thread, while Standard uses the pool.
+  enum class LloydVariant { kStandard, kHamerly };
   LloydVariant lloyd_variant = LloydVariant::kStandard;
 
   /// Reject datasets containing NaN/Inf coordinates up front (one O(n·d)
@@ -146,17 +145,14 @@ class KMeans {
   KMEANSLL_DISALLOW_COPY_AND_ASSIGN(KMeans);
 
   /// Runs initialization + Lloyd on `data`. Fails on invalid
-  /// configuration or data (empty, k > n, dimension mismatch...).
-  Result<KMeansReport> Fit(const Dataset& data) const;
-
-  /// Out-of-core Fit: the same pipeline over a DatasetSource (e.g. a
-  /// data::ShardedDataset whose pinned window is smaller than the data).
-  /// Produces bitwise-identical reports to the in-memory overload for
-  /// the same rows and configuration.
+  /// configuration or data (empty, k > n, dimension mismatch...). `data`
+  /// is an in-memory Dataset or an out-of-core source (e.g. a
+  /// data::ShardedDataset whose pinned window is smaller than the data);
+  /// both produce bitwise-identical reports for the same rows and
+  /// configuration.
   Result<KMeansReport> Fit(const DatasetSource& data) const;
 
   /// Runs only the configured initializer (the paper's "seed" rows).
-  Result<InitResult> Initialize(const Dataset& data) const;
   Result<InitResult> Initialize(const DatasetSource& data) const;
 
   const KMeansConfig& config() const { return config_; }
@@ -177,7 +173,6 @@ class KMeans {
 /// through the serving fast path instead — the Predict(CenterIndex, …)
 /// overloads in serving/center_index.h reuse the index's frozen panels
 /// and produce bitwise-identical assignments.
-Assignment Predict(const Matrix& centers, const Dataset& data);
 Assignment Predict(const Matrix& centers, const DatasetSource& data);
 
 /// Builds the KMLLMODL artifact for a finished Fit: the report's centers

@@ -1,7 +1,7 @@
 // Blocked batch-distance engine: the shared O(n·k·d) kernel layer.
 //
 // Every hot path in the library — k-means|| round updates, k-means++
-// seeding, Lloyd assignment (standard, Hamerly, and Elkan), cost
+// seeding, Lloyd assignment (standard and Hamerly), cost
 // evaluation, minibatch, streaming compression, and the MapReduce map
 // phases — reduces to the same scan: "for a block of points and a block
 // of centers, compute each point's distances and reduce them". This
@@ -9,7 +9,7 @@
 // register-blocked for ILP, instead of the one-point × one-center loops
 // each call site used to carry. Three reductions share one loop nest and
 // one set of micro-kernels: nearest (argmin merge), two-nearest (for the
-// Hamerly bound), and store-all (for the Elkan bound matrix).
+// Hamerly bound), and store-all (for the k×k center-separation table).
 //
 // Design (see docs/ARCHITECTURE.md and README.md "Distance engine" for
 // the full rationale):
@@ -263,8 +263,8 @@ void BatchTopMSubset(ConstMatrixView points, IndexRange rows,
 /// panels.num_centers() + c] = ||points row i − packed center c||² for
 /// every point row in the range and every packed center. The values are
 /// the engine's (expanded results clamped at zero), bitwise identical to
-/// what the merge entry points reduce over. This is the Elkan-bound
-/// primitive (per-(point, center) lower bounds, k×k center separations).
+/// what the merge entry points reduce over. This is the primitive behind
+/// Hamerly's k×k center separations and the serving coarse index.
 /// Same kernel/norm preconditions as the panels overload of
 /// BatchNearestMerge.
 void BatchDistances(ConstMatrixView points, IndexRange rows,

@@ -8,7 +8,7 @@
 //  * Norm-expanded: ||x||² + ||y||² - 2·x·y with precomputed norms; turns
 //    the k-center scan into dot products (fewer loads per candidate) at
 //    the price of cancellation for near-identical points, so results are
-//    clamped at zero. Ablated in bench/bm_distance.
+//    clamped at zero. Ablated in bench/bm_batch_distance (BM_Scalar*).
 
 #ifndef KMEANSLL_DISTANCE_L2_H_
 #define KMEANSLL_DISTANCE_L2_H_

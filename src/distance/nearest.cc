@@ -319,28 +319,6 @@ void NearestCenterSearch::DistancesRange(ConstMatrixView points,
                  batch_kernel(), out_d2);
 }
 
-void NearestCenterSearch::DistancesRange(const DatasetSource& data,
-                                         IndexRange rows,
-                                         const double* point_norms,
-                                         double* out_d2) const {
-  const int64_t k = centers_.rows();
-  ForEachBlock(data, rows.begin, rows.end, [&](const DatasetView& v) {
-    const int64_t off = v.first_row() - rows.begin;
-    DistancesRange(v.points(), IndexRange{0, v.rows()},
-                   point_norms == nullptr ? nullptr : point_norms + off,
-                   out_d2 + off * k);
-  });
-}
-
-MinDistanceTracker::MinDistanceTracker(const Dataset& data, ThreadPool* pool)
-    : owned_source_(data.AsSource()),
-      data_(&*owned_source_),
-      pool_(pool),
-      min_d2_(static_cast<size_t>(data.n()),
-              std::numeric_limits<double>::infinity()),
-      closest_(static_cast<size_t>(data.n()), -1),
-      potential_(std::numeric_limits<double>::infinity()) {}
-
 MinDistanceTracker::MinDistanceTracker(const DatasetSource& data,
                                        ThreadPool* pool)
     : data_(&data),

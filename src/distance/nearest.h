@@ -27,8 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include <optional>
-
 #include "distance/batch.h"
 #include "matrix/dataset.h"
 #include "matrix/dataset_view.h"
@@ -185,17 +183,14 @@ class NearestCenterSearch {
 
   /// Batched dense distances: out_d2[(i - rows.begin) · k + c] =
   /// d²(points row i, center c) for every center, with the engine's
-  /// values (expanded results clamped at zero). This feeds the Elkan
-  /// bounds and the k × k center-separation table.
+  /// values (expanded results clamped at zero). This feeds Hamerly's
+  /// k × k center-separation table and the serving coarse index.
   void DistancesRange(ConstMatrixView points, IndexRange rows,
                       const double* point_norms, double* out_d2) const;
   void DistancesRange(const Matrix& points, IndexRange rows,
                       const double* point_norms, double* out_d2) const {
     DistancesRange(points.view(), rows, point_norms, out_d2);
   }
-  /// Source variant (global rows; outputs indexed i - rows.begin).
-  void DistancesRange(const DatasetSource& data, IndexRange rows,
-                      const double* point_norms, double* out_d2) const;
 
   int64_t num_centers() const { return centers_.rows(); }
   bool uses_expanded_kernel() const { return use_expanded_; }
@@ -232,18 +227,14 @@ class MinDistanceTracker {
   /// be null — the sequential initializers pass none and every internal
   /// pass handles that uniformly; no ThreadPool is ever dereferenced on
   /// the null path) parallelizes AddCenters; the fixed chunking keeps
-  /// results bitwise identical across thread counts.
-  explicit MinDistanceTracker(const Dataset& data,
-                              ThreadPool* pool = nullptr);
-
-  /// As above over a DatasetSource — the same tracker streams
-  /// disk-resident shards (the source must outlive the tracker).
+  /// results bitwise identical across thread counts. `data` may be an
+  /// in-memory Dataset or disk-resident shards, and must outlive the
+  /// tracker.
   explicit MinDistanceTracker(const DatasetSource& data,
                               ThreadPool* pool = nullptr);
 
-  /// Non-copyable/non-movable: the Dataset constructor points data_ at
-  /// the tracker's own owned_source_ member, so a byte-wise copy or
-  /// move would leave the new object referencing the old one's storage.
+  /// Non-copyable: a tracker holds O(n) per-point state for one seeding
+  /// run, and nothing needs a second copy of it.
   MinDistanceTracker(const MinDistanceTracker&) = delete;
   MinDistanceTracker& operator=(const MinDistanceTracker&) = delete;
 
@@ -277,7 +268,6 @@ class MinDistanceTracker {
   int64_t n() const { return static_cast<int64_t>(min_d2_.size()); }
 
  private:
-  std::optional<InMemorySource> owned_source_;  // backs the Dataset ctor
   const DatasetSource* data_;  // not owned; must outlive the tracker
   ThreadPool* pool_;           // not owned; may be null (sequential pass)
   ScanSchedule schedule_;  // shard-aware execution plan, built once and

@@ -1,7 +1,7 @@
 // Named counters, mirroring Hadoop job counters. Algorithms running on
 // the MapReduce engine report passes over the data, records read, bytes
 // shuffled, etc.; the cluster simulator consumes these to model wall-clock
-// time on an m-machine cluster (DESIGN.md §2).
+// time on an m-machine cluster.
 
 #ifndef KMEANSLL_MAPREDUCE_COUNTERS_H_
 #define KMEANSLL_MAPREDUCE_COUNTERS_H_

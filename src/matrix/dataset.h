@@ -19,8 +19,10 @@ namespace kmeansll {
 
 /// Immutable-by-convention collection of n points in R^d with optional
 /// weights (default 1.0) and optional integer labels (for synthetic data
-/// with known ground truth).
-class Dataset {
+/// with known ground truth). A Dataset is itself a DatasetSource, so every
+/// streaming driver takes it directly; `final` keeps the calls on a
+/// concrete Dataset devirtualized.
+class Dataset final : public DatasetSource {
  public:
   Dataset() = default;
   explicit Dataset(Matrix points) : points_(std::move(points)) {}
@@ -39,31 +41,36 @@ class Dataset {
                                               std::vector<double> weights,
                                               std::vector<int32_t> labels);
 
-  int64_t n() const { return points_.rows(); }
-  int64_t dim() const { return points_.cols(); }
+  int64_t n() const override { return points_.rows(); }
+  int64_t dim() const override { return points_.cols(); }
 
   const Matrix& points() const { return points_; }
   const double* Point(int64_t i) const { return points_.Row(i); }
 
-  bool has_weights() const { return !weights_.empty(); }
+  bool has_weights() const override { return !weights_.empty(); }
   /// Weight of point i (1.0 when unweighted).
   double Weight(int64_t i) const {
     return weights_.empty() ? 1.0 : weights_[static_cast<size_t>(i)];
   }
   const std::vector<double>& weights() const { return weights_; }
   /// Sum of all weights (n for unweighted datasets).
-  double TotalWeight() const;
+  double TotalWeight() const override;
 
-  bool has_labels() const { return !labels_.empty(); }
+  bool has_labels() const override { return !labels_.empty(); }
   const std::vector<int32_t>& labels() const { return labels_; }
 
   /// Non-owning view of all rows (valid until the dataset is mutated or
-  /// destroyed). The storage-layer entry point: wrap it in an
-  /// InMemorySource to run any streaming driver over in-memory data.
+  /// destroyed).
   DatasetView View() const {
     return DatasetView(points_.view(), /*first_row=*/0,
                        weights_.empty() ? nullptr : weights_.data(),
                        labels_.empty() ? nullptr : labels_.data());
+  }
+
+  /// The whole range is always resident: rows [begin, end) in one view.
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    KMEANSLL_CHECK(begin >= 0 && begin < end && end <= n());
+    return PinnedBlock(View().Slice(begin, end));
   }
 
   /// InMemorySource over this dataset (borrowing; the dataset must

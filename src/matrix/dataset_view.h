@@ -138,8 +138,9 @@ class PinnedBlock {
   std::function<void()> release_;
 };
 
-/// Abstract provider of pinned row-range views. Implemented by
-/// InMemorySource (below) over a Dataset and by data::ShardedDataset over
+/// Abstract provider of pinned row-range views. Implemented by Dataset
+/// (matrix/dataset.h) over its own rows, by InMemorySource (below) over
+/// borrowed in-memory arrays, and by data::ShardedDataset over
 /// memory-mapped binary shards.
 class DatasetSource {
  public:
@@ -200,8 +201,8 @@ class DatasetSource {
 
 /// DatasetSource over rows the caller already holds in memory. The
 /// viewed storage (not the source) must outlive every consumer; the
-/// source itself is a cheap value the Dataset-taking API shims construct
-/// on the stack.
+/// source itself is a cheap value built on the stack around borrowed
+/// matrix views.
 class InMemorySource final : public DatasetSource {
  public:
   /// Views `points` (and optional parallel weight/label arrays, which may

@@ -3,8 +3,8 @@
 // Work is split into fixed chunks (independent of the thread count), and
 // reductions combine per-chunk partials in chunk order. Consequently every
 // parallel result is bitwise identical across thread counts — a property
-// the tests assert and the reproducibility story (DESIGN.md §5.7) relies
-// on.
+// the tests assert and the reproducibility story (docs/ARCHITECTURE.md
+// "The determinism contract") relies on.
 
 #ifndef KMEANSLL_PARALLEL_PARALLEL_FOR_H_
 #define KMEANSLL_PARALLEL_PARALLEL_FOR_H_

@@ -563,12 +563,6 @@ Assignment CenterIndex::AssignBatch(const DatasetSource& data,
   return out;
 }
 
-Assignment CenterIndex::AssignBatch(const Dataset& data, ThreadPool* pool,
-                                    const double* point_norms) const {
-  InMemorySource source = data.AsSource();
-  return AssignBatch(source, pool, point_norms);
-}
-
 int64_t CenterIndex::AssignTopM(const double* point, int64_t m,
                                 std::vector<int32_t>* out_index,
                                 std::vector<double>* out_d2) const {
@@ -631,10 +625,6 @@ double CenterIndex::MeasureApproxRecall(ConstMatrixView queries) const {
     }
   }
   return static_cast<double>(matched) / static_cast<double>(n);
-}
-
-Assignment Predict(const CenterIndex& index, const Dataset& data) {
-  return index.AssignBatch(data);
 }
 
 Assignment Predict(const CenterIndex& index, const DatasetSource& data) {

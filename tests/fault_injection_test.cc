@@ -3,8 +3,8 @@
 //
 // The contracts under test (docs/ARCHITECTURE.md "Fault tolerance"):
 //   * Transient shard-map faults at a 10% rate are absorbed by the
-//     retry layer — every driver (cost scan, k-means|| seeding, all
-//     three Lloyd variants, at pool sizes null/1/4) stays BITWISE
+//     retry layer — every driver (cost scan, k-means|| seeding, both
+//     Lloyd variants, at pool sizes null/1/4) stays BITWISE
 //     identical to its fault-free run.
 //   * An exhausted retry budget degrades to a clean Status at the
 //     driver's Result boundary: a bad shard fails the scan, never the
@@ -32,7 +32,6 @@
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "common/fault_injection.h"
@@ -257,8 +256,6 @@ TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
   ASSERT_TRUE(std_baseline.ok());
   auto ham_baseline = RunLloydHamerly(data, initial, options);
   ASSERT_TRUE(ham_baseline.ok());
-  auto elk_baseline = RunLloydElkan(data, initial, options);
-  ASSERT_TRUE(elk_baseline.ok());
 
   // Standard Lloyd across pool sizes (the variant that takes a pool).
   for (int threads : {0, 1, 4}) {
@@ -279,14 +276,6 @@ TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
     auto got = RunLloydHamerly(sharded, initial, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectLloydBitwise(*got, *ham_baseline, "hamerly");
-    FaultInjector::Global().Reset();
-  }
-  {
-    ShardedDataset sharded = OpenSharded(data, "elkan.kml", 6);
-    ArmTransientShardFaults();
-    auto got = RunLloydElkan(sharded, initial, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectLloydBitwise(*got, *elk_baseline, "elkan");
   }
 }
 
@@ -652,10 +641,6 @@ TEST(CheckpointResumeTest, LloydKillAfterCheckpointResumesBitwise) {
       {"hamerly",
        [](const Dataset& d, const Matrix& c, const LloydOptions& o) {
          return RunLloydHamerly(d, c, o);
-       }},
-      {"elkan",
-       [](const Dataset& d, const Matrix& c, const LloydOptions& o) {
-         return RunLloydElkan(d, c, o);
        }},
   };
 

@@ -1,7 +1,7 @@
 // Cross-variant equivalence: standard Lloyd (RunLloyd, at pool = null /
-// 1 / 4), Hamerly, and Elkan must produce bitwise-identical centers,
-// assignments, costs, and iteration counts. Since PR "panel-cached
-// distance engine" all three variants evaluate every distance through
+// 1 / 4) and Hamerly must produce bitwise-identical centers,
+// assignments, costs, and iteration counts. Since the panel-cached
+// distance engine, both variants evaluate every distance through
 // the batch engine's accumulation chains, so the tests assert exact
 // equality on random data in both kernel regimes (plain
 // d < kExpandedKernelMinDim, expanded d >= it) and on adversarial
@@ -24,7 +24,6 @@
 
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "data/synthetic.h"
 #include "distance/batch.h"
@@ -35,15 +34,8 @@
 namespace kmeansll {
 namespace {
 
-struct VariantResults {
-  LloydResult standard;  // pool = null reference
-  LloydResult hamerly;
-  LloydResult elkan;
-};
-
-// Runs all three variants plus RunLloyd at pool sizes 1 and 4 and
-// asserts every trajectory is bitwise identical to the sequential
-// standard run.
+// Runs Hamerly plus RunLloyd at pool sizes 1 and 4 and asserts every
+// trajectory is bitwise identical to the sequential standard run.
 void ExpectAllVariantsBitwiseEqual(const Dataset& data,
                                    const Matrix& initial_centers,
                                    const LloydOptions& options) {
@@ -76,17 +68,6 @@ void ExpectAllVariantsBitwiseEqual(const Dataset& data,
   EXPECT_EQ(hamerly->empty_cluster_repairs,
             standard->empty_cluster_repairs);
   EXPECT_EQ(hamerly->cost_history, standard->cost_history);  // bitwise
-
-  auto elkan = RunLloydElkan(data, initial_centers, options);
-  ASSERT_TRUE(elkan.ok());
-  EXPECT_TRUE(elkan->centers == standard->centers);
-  EXPECT_EQ(elkan->assignment.cluster, standard->assignment.cluster);
-  EXPECT_EQ(elkan->assignment.cost, standard->assignment.cost);
-  EXPECT_EQ(elkan->iterations, standard->iterations);
-  EXPECT_EQ(elkan->converged, standard->converged);
-  EXPECT_EQ(elkan->empty_cluster_repairs,
-            standard->empty_cluster_repairs);
-  EXPECT_EQ(elkan->cost_history, standard->cost_history);  // bitwise
 }
 
 // Random Gaussian mixtures in both kernel regimes. d = 8 exercises the
@@ -140,7 +121,7 @@ TEST(LloydEquivalenceTest, WeightedDataBitwiseEqual) {
 // with heavy duplication — every point appears several times, and the
 // initial center set contains bitwise-duplicate rows, so nearest-center
 // ties are real and must break identically (lowest index) in the
-// standard scan, the Hamerly two-nearest scan, and the Elkan bound loop.
+// standard scan and the Hamerly two-nearest scan.
 void RunAdversarialGrid(int64_t d) {
   const int64_t base_points = 60;
   const int64_t copies = 4;

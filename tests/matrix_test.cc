@@ -219,6 +219,39 @@ TEST(DatasetTest, SplitRangesCoverExactly) {
   EXPECT_EQ(ranges[2], (std::pair<int64_t, int64_t>{7, 10}));
 }
 
+TEST(DatasetTest, IsAnInMemoryDatasetSource) {
+  // Weights whose plain sum (1.0) differs from the compensated one, so
+  // the TotalWeight check pins the Kahan chain.
+  auto made = Dataset::WithWeightsAndLabels(
+      Matrix::FromValues(5, 2, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}),
+      {1.0, 1e-16, 1e-16, 1e-16, 1e-16}, {3, 1, 4, 1, 5});
+  ASSERT_TRUE(made.ok());
+  const Dataset& data = *made;
+  const DatasetSource& source = data;
+  const InMemorySource borrowed = data.AsSource();
+
+  EXPECT_EQ(source.n(), 5);
+  EXPECT_EQ(source.dim(), 2);
+  EXPECT_TRUE(source.has_weights());
+  EXPECT_TRUE(source.has_labels());
+  EXPECT_EQ(source.TotalWeight(), borrowed.TotalWeight());  // bitwise
+  EXPECT_TRUE(source.ResidencyRanges().empty());
+  EXPECT_EQ(source.ResidentUnitCapacity(), 0);
+  EXPECT_TRUE(source.status().ok());
+
+  for (auto [b, e] : {std::pair<int64_t, int64_t>{0, 5}, {1, 4}, {4, 5}}) {
+    PinnedBlock pin = source.Pin(b, e);
+    const DatasetView got = pin.view();
+    const DatasetView want = data.View().Slice(b, e);
+    EXPECT_EQ(got.points().data(), want.points().data());
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(got.dim(), want.dim());
+    EXPECT_EQ(got.first_row(), b);
+    EXPECT_EQ(got.weights(), want.weights());
+    EXPECT_EQ(got.labels(), want.labels());
+  }
+}
+
 TEST(DatasetTest, SplitMorePartsThanRowsYieldsEmptyTails) {
   Dataset d(Matrix(2, 1));
   auto ranges = d.SplitRanges(5);

@@ -3,8 +3,8 @@
 // LRU residency window, and the headline determinism contract — a
 // dataset clustered through a ShardedDataset with a pinned window
 // smaller than the data produces bitwise-identical centers, assignments,
-// and cost histories to the in-memory path for both seeders and all
-// three Lloyd variants at pool sizes null/1/4.
+// and cost histories to the in-memory path for both seeders and both
+// Lloyd variants at pool sizes null/1/4.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "clustering/init_kmeansll.h"
 #include "clustering/init_kmeanspp.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "clustering/minibatch.h"
@@ -467,15 +466,6 @@ TEST(ShardEquivalenceTest, AllLloydVariantsBitwiseIdentical) {
               hamerly_mem->assignment.cluster);
     EXPECT_EQ(hamerly->cost_history, hamerly_mem->cost_history);
     EXPECT_TRUE(hamerly->centers == expected->centers);
-
-    auto elkan_mem = RunLloydElkan(c.data, seed, options);
-    auto elkan = RunLloydElkan(*c.sharded, seed, options);
-    ASSERT_TRUE(elkan_mem.ok());
-    ASSERT_TRUE(elkan.ok());
-    EXPECT_TRUE(elkan->centers == elkan_mem->centers);
-    EXPECT_EQ(elkan->assignment.cluster, elkan_mem->assignment.cluster);
-    EXPECT_EQ(elkan->cost_history, elkan_mem->cost_history);
-    EXPECT_TRUE(elkan->centers == expected->centers);
   }
 }
 
@@ -690,8 +680,8 @@ EquivalenceCase MakePrefetchCase(int64_t d, bool enable_prefetch,
 TEST(ShardPrefetchTest, PrefetchOnOffAndInMemoryBitwiseIdentical) {
   // The headline determinism assertion for the pipeline: prefetch on,
   // prefetch off, and the in-memory path produce identical centers,
-  // assignments, and cost histories for both seeders and all three
-  // Lloyd variants at pool sizes null/1/4 with window < data.
+  // assignments, and cost histories for both seeders and both Lloyd
+  // variants at pool sizes null/1/4 with window < data.
   for (int64_t d : {8, 48}) {  // plain and expanded kernels
     EquivalenceCase on =
         MakePrefetchCase(d, /*enable_prefetch=*/true,
@@ -712,9 +702,8 @@ TEST(ShardPrefetchTest, PrefetchOnOffAndInMemoryBitwiseIdentical) {
     auto pp_mem = KMeansPPInit(data, 8, rng::MakeRootRng(22));
     auto lloyd_mem = RunLloyd(data, seed, lloyd_options);
     auto hamerly_mem = RunLloydHamerly(data, seed, lloyd_options);
-    auto elkan_mem = RunLloydElkan(data, seed, lloyd_options);
     ASSERT_TRUE(ll_mem.ok() && pp_mem.ok() && lloyd_mem.ok() &&
-                hamerly_mem.ok() && elkan_mem.ok());
+                hamerly_mem.ok());
 
     std::unique_ptr<ThreadPool> pools[3] = {
         nullptr, std::make_unique<ThreadPool>(1),
@@ -741,20 +730,13 @@ TEST(ShardPrefetchTest, PrefetchOnOffAndInMemoryBitwiseIdentical) {
                   lloyd_mem->assignment.cluster);
         EXPECT_EQ(lloyd->cost_history, lloyd_mem->cost_history);
       }
-      // The accelerated variants run sequentially (no pool parameter).
+      // Hamerly runs sequentially (no pool parameter).
       auto hamerly = RunLloydHamerly(*c->sharded, seed, lloyd_options);
       ASSERT_TRUE(hamerly.ok());
       EXPECT_TRUE(hamerly->centers == hamerly_mem->centers);
       EXPECT_EQ(hamerly->assignment.cluster,
                 hamerly_mem->assignment.cluster);
       EXPECT_EQ(hamerly->cost_history, hamerly_mem->cost_history);
-
-      auto elkan = RunLloydElkan(*c->sharded, seed, lloyd_options);
-      ASSERT_TRUE(elkan.ok());
-      EXPECT_TRUE(elkan->centers == elkan_mem->centers);
-      EXPECT_EQ(elkan->assignment.cluster,
-                elkan_mem->assignment.cluster);
-      EXPECT_EQ(elkan->cost_history, elkan_mem->cost_history);
     }
 
     // The prefetch-off source must never have touched the pipeline.

@@ -25,7 +25,6 @@
 
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
 #include "clustering/lloyd_hamerly.h"
 #include "data/synthetic.h"
 #include "matrix/dataset.h"
@@ -244,7 +243,6 @@ struct TrainOutputs {
   std::vector<double> round_potentials;
   LloydResult standard;
   LloydResult hamerly;
-  LloydResult elkan;
 };
 
 TrainOutputs RunTraining(const Dataset& data, int64_t k,
@@ -266,9 +264,6 @@ TrainOutputs RunTraining(const Dataset& data, int64_t k,
   auto hamerly = RunLloydHamerly(data, out.seed_centers, options);
   EXPECT_TRUE(hamerly.ok());
   out.hamerly = std::move(hamerly).ValueOrDie();
-  auto elkan = RunLloydElkan(data, out.seed_centers, options);
-  EXPECT_TRUE(elkan.ok());
-  out.elkan = std::move(elkan).ValueOrDie();
   return out;
 }
 
@@ -285,7 +280,7 @@ void ExpectBitwiseEqual(const LloydResult& a, const LloydResult& b,
 // The instrumentation hard constraint: centers, assignments, and cost
 // histories are bitwise identical with tracing on and off — spans only
 // read clocks and append to their own buffers. Exercised through
-// seeding (KMEANSLL_TRACE_SPAN in the rounds loop) and all three Lloyd
+// seeding (KMEANSLL_TRACE_SPAN in the rounds loop) and both Lloyd
 // variants (iteration/phase spans) at pool null, 1, and 4.
 TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossVariants) {
   TracerGuard guard;
@@ -318,7 +313,6 @@ TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossVariants) {
     EXPECT_EQ(traced.round_potentials, plain.round_potentials);  // bitwise
     ExpectBitwiseEqual(traced.standard, plain.standard, "standard");
     ExpectBitwiseEqual(traced.hamerly, plain.hamerly, "hamerly");
-    ExpectBitwiseEqual(traced.elkan, plain.elkan, "elkan");
   }
 }
 
