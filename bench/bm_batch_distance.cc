@@ -1,6 +1,6 @@
 // Benchmark for the blocked batch-distance engine (distance/batch.h):
 // scalar per-point scans vs the norm-expanded per-point scan vs the tiled
-// 4×2 blocked kernels, across (n, k, d) grids, the single-center scan of
+// blocked kernels, across (n, k, d) grids, the single-center scan of
 // a k-means++ step, plus the k-means|| round update
 // (MinDistanceTracker::AddCenters) that sits on top of it. The
 // numbers recorded in README.md ("Distance engine") and the
@@ -24,6 +24,12 @@
 
 namespace kmeansll {
 namespace {
+
+// Results are only comparable between runs of the same micro-kernel, so
+// the dispatched one is part of the benchmark context.
+const bool kIsaInContext =
+    (benchmark::AddCustomContext("batch_kernel_isa", BatchKernelIsa()),
+     true);
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   rng::Rng rng(seed);
@@ -223,6 +229,13 @@ void BM_Smoke(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * k);
 }
 BENCHMARK(BM_Smoke);
+
+// k = 9 above never fills a panel; this row runs the full-panel kernel
+// (two full panels and a residue of 1, n off the 8-row groups).
+void BM_FullPanelSmoke(benchmark::State& state) {
+  RunBlocked(state, BatchKernel::kAuto);
+}
+BENCHMARK(BM_FullPanelSmoke)->Args({97, 33, 64});
 
 void BM_SingleCenterSmoke(benchmark::State& state) {
   RunBlocked(state, BatchKernel::kAuto);

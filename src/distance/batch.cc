@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -25,11 +26,15 @@ namespace {
 // single chain in coordinate order, so results do not depend on tile
 // placement, panel residue, or thread count.
 //
-// Two implementations are provided per kernel: a portable scalar version
-// and an AVX2+FMA version selected once at startup via
-// __builtin_cpu_supports — the default build stays baseline-ISA while
-// capable machines get 4-wide FMA. The dispatch is constant per machine,
-// preserving run-to-run and thread-count determinism.
+// Three kernel sets exist: portable scalar, AVX2+FMA, and — for full
+// panels only — AVX-512F. One is selected once at startup via
+// __builtin_cpu_supports, so the default build stays baseline-ISA while
+// capable machines get 4- or 8-wide FMA. The dispatch is per machine, so
+// results depend on neither the run nor the thread count. Every kernel
+// reproduces PairSquaredL2 / PairDotProduct of the machine it runs on:
+// the AVX-512 and AVX2 lanes run the identical fma chain and produce the
+// same bytes, and the scalar kernels (only where FMA is absent) match the
+// unfused pair chains used there.
 
 // Dot products of two point rows against one full packed panel:
 // acc{0,1}[j] += x{0,1}[t] * panel[t][j]. 2 points × 4 vector
@@ -110,6 +115,11 @@ void PanelTailGeneric(const double* x, const double* panel, int64_t d,
     }
   }
 }
+
+// Point rows per call of the full-panel AVX-512 kernel. Dividing the
+// point tile means only a range's last tile has rows left over.
+inline constexpr int kWideRows = 8;
+static_assert(kPointTile % kWideRows == 0);
 
 #if defined(__x86_64__)
 
@@ -317,14 +327,100 @@ __attribute__((target("avx2,fma"))) void PanelTailAvx2(
   }
 }
 
+// Full-panel AVX-512 micro-kernel: kWideRows point rows × one full panel,
+// two zmm accumulators per row — 16 independent FMA chains, plus two
+// panel loads and a broadcast, well inside the 32 zmm registers. Each
+// lane is the AVX2 kernels' (point, center) chain, fma from 0.0 in
+// coordinate order, so the values are bitwise theirs.
+//
+// The call also finishes in registers what PanelScan does in scalar code
+// after the 2- and 1-row kernels. Expanded sums become clamped distances
+// (pn + cn[j]) − (acc[j] + acc[j]): the doubling is exactly 2.0·acc[j],
+// and unlike a multiply it cannot be contracted into an fma that would
+// round differently. Max with +0.0 returns +0.0 for NaN and −0.0,
+// exactly like `v > 0.0 ? v : 0.0`. Row r's distances go to
+// d2[r * kCenterTile + j], and bit j of mask[r] is set iff distance j is
+// strictly below bound[r]. The compare is ordered, so a NaN lane is never
+// set — just as it never passes a merge's strict <.
+template <bool kPlain>
+__attribute__((target("avx512f"))) void FullPanelAvx512(
+    const double* const* x, const double* panel, int64_t d,
+    const double* pn, const double* cn, const double* bound, double* d2,
+    uint32_t* mask) {
+  __m512d a[kWideRows][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < kWideRows; ++r) {
+    a[r][0] = _mm512_setzero_pd();
+    a[r][1] = _mm512_setzero_pd();
+  }
+  for (int64_t t = 0; t < d; ++t) {
+    const double* row = panel + t * kCenterTile;
+    const __m512d r0 = _mm512_loadu_pd(row);
+    const __m512d r1 = _mm512_loadu_pd(row + 8);
+#pragma GCC unroll 8
+    for (int r = 0; r < kWideRows; ++r) {
+      const __m512d xv = _mm512_set1_pd(x[r][t]);
+      if constexpr (kPlain) {
+        const __m512d e0 = _mm512_sub_pd(xv, r0);
+        const __m512d e1 = _mm512_sub_pd(xv, r1);
+        a[r][0] = _mm512_fmadd_pd(e0, e0, a[r][0]);
+        a[r][1] = _mm512_fmadd_pd(e1, e1, a[r][1]);
+      } else {
+        a[r][0] = _mm512_fmadd_pd(xv, r0, a[r][0]);
+        a[r][1] = _mm512_fmadd_pd(xv, r1, a[r][1]);
+      }
+    }
+  }
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d cn0 = zero, cn1 = zero;
+  if constexpr (!kPlain) {
+    cn0 = _mm512_loadu_pd(cn);
+    cn1 = _mm512_loadu_pd(cn + 8);
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kWideRows; ++r) {
+    __m512d v0 = a[r][0], v1 = a[r][1];
+    if constexpr (!kPlain) {
+      const __m512d p = _mm512_set1_pd(pn[r]);
+      // All-lanes maskz max is plain vmaxpd; the unmasked intrinsic
+      // trips a spurious -Wuninitialized in GCC 12's header.
+      v0 = _mm512_maskz_max_pd(0xFF,
+                               _mm512_sub_pd(_mm512_add_pd(p, cn0),
+                                             _mm512_add_pd(v0, v0)),
+                               zero);
+      v1 = _mm512_maskz_max_pd(0xFF,
+                               _mm512_sub_pd(_mm512_add_pd(p, cn1),
+                                             _mm512_add_pd(v1, v1)),
+                               zero);
+    }
+    _mm512_storeu_pd(d2 + r * kCenterTile, v0);
+    _mm512_storeu_pd(d2 + r * kCenterTile + 8, v1);
+    const __m512d b = _mm512_set1_pd(bound[r]);
+    mask[r] = static_cast<uint32_t>(_mm512_cmp_pd_mask(v0, b, _CMP_LT_OQ)) |
+              static_cast<uint32_t>(_mm512_cmp_pd_mask(v1, b, _CMP_LT_OQ))
+                  << 8;
+  }
+}
+
 bool DetectAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
+// AVX-512F implies FMA; requiring AVX2 too keeps the leftover rows and
+// the residue panel on the AVX2 kernels' chain.
+bool DetectAvx512() {
+  return DetectAvx2Fma() && __builtin_cpu_supports("avx512f");
+}
 const bool kUseAvx2 = DetectAvx2Fma();
+const bool kUseAvx512 = DetectAvx512();
 
 #else
 constexpr bool kUseAvx2 = false;
+constexpr bool kUseAvx512 = false;
+template <bool kPlain>
+inline void FullPanelAvx512(const double* const*, const double*, int64_t,
+                            const double*, const double*, const double*,
+                            double*, uint32_t*) {}
 inline void DotPanel2Avx2(const double*, const double*, const double*,
                           int64_t, double*, double*) {}
 inline void DotPanel1Avx2(const double*, const double*, int64_t, double*) {}
@@ -440,11 +536,23 @@ void PanelTail(const double* const* x, int64_t live, const double* panel,
 // independent, so the extra lanes are bitwise-identical values the
 // subset merges simply do not read. Full-set callers pass
 // {0, panels.num_centers()}.
-template <typename Merge>
+//
+// `bound(p)` is the reduction's screening bound for row p: a merge can
+// change row p's state only with a distance strictly below it, and the
+// bound never rises while the row is merged. The AVX-512 kernel compares
+// a whole row group against its bounds in registers, and PanelScan skips
+// the merge of a row with no lane below — exactly the rows whose merge
+// would be a no-op. (A subset scan's lanes outside its window may still
+// set bits; that costs only a no-op merge.) Reductions that must see
+// every value pass NoSkip.
+struct NoSkip {};
+
+template <typename Bound, typename Merge>
 void PanelScan(ConstMatrixView points, IndexRange rows,
                const double* point_norms, const CenterPanels& panels,
                const double* center_norms, bool expanded,
-               IndexRange centers, Merge&& merge) {
+               IndexRange centers, Bound&& bound, Merge&& merge) {
+  constexpr bool kSkip = !std::is_same_v<std::decay_t<Bound>, NoSkip>;
   const int64_t d = panels.dim();
   const int64_t n = rows.size();
   const int64_t k = panels.num_centers();
@@ -456,6 +564,10 @@ void PanelScan(ConstMatrixView points, IndexRange rows,
   double d2v0[kCenterTile];
   double d2v1[kCenterTile];
   double tail_acc[kMaxTailRows * kCenterTile];
+  double wide_d2[kWideRows * kCenterTile];
+  uint32_t wide_mask[kWideRows];
+  double wide_bound[kWideRows];  // stays +inf without a bound
+  std::fill_n(wide_bound, kWideRows, std::numeric_limits<double>::infinity());
 
   // Branchless distance conversion (vectorizable) ahead of the merge.
   auto convert = [&](const double* acc, int64_t count, double pn,
@@ -478,6 +590,29 @@ void PanelScan(ConstMatrixView points, IndexRange rows,
       const double* cn = expanded ? center_norms + c_off : nullptr;
       int64_t p = pb;
       if (count == kCenterTile) {
+        // Rows left over from the 8-row groups take the 2- and 1-row
+        // kernels.
+        if (kUseAvx512) {
+          for (; p + kWideRows <= pe; p += kWideRows) {
+            const double* x[kWideRows];
+            for (int r = 0; r < kWideRows; ++r) {
+              x[r] = points.Row(rows.begin + p + r);
+              if constexpr (kSkip) wide_bound[r] = bound(p + r);
+            }
+            if (expanded) {
+              FullPanelAvx512<false>(x, panel_data, d, point_norms + p, cn,
+                                     wide_bound, wide_d2, wide_mask);
+            } else {
+              FullPanelAvx512<true>(x, panel_data, d, nullptr, nullptr,
+                                    wide_bound, wide_d2, wide_mask);
+            }
+            for (int r = 0; r < kWideRows; ++r) {
+              if (!kSkip || wide_mask[r] != 0) {
+                merge(p + r, c_off, count, wide_d2 + r * kCenterTile);
+              }
+            }
+          }
+        }
         for (; p + 2 <= pe; p += 2) {
           if (expanded) {
             DotPanel2(points.Row(rows.begin + p),
@@ -613,9 +748,11 @@ void BatchNearestMerge(ConstMatrixView points, IndexRange rows,
       EnsurePointNorms(points, rows, expanded, point_norms, &pn_storage);
   const int64_t base = panels.first_center();
   const IndexRange all{0, panels.num_centers()};
+  auto bound = [best_d2](int64_t p) { return best_d2[p]; };
   if (best_index == nullptr) {
     // Distance-only caller: skip the argmin bookkeeping.
     PanelScan(points, rows, point_norms, panels, center_norms, expanded, all,
+              bound,
               [&](int64_t p, int64_t, int64_t count, const double* d2v) {
                 double* bd = best_d2 + p;
                 for (int64_t j = 0; j < count; ++j) {
@@ -628,6 +765,7 @@ void BatchNearestMerge(ConstMatrixView points, IndexRange rows,
   // so ties keep the lowest index / the existing value — identical to a
   // sequential scan.
   PanelScan(points, rows, point_norms, panels, center_norms, expanded, all,
+            bound,
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               double* bd = best_d2 + p;
@@ -693,8 +831,10 @@ void BatchTwoNearest(ConstMatrixView points, IndexRange rows,
   // Two-best update with the sequential scan's tie semantics: a later
   // equal distance never displaces the best (strict <) but does take the
   // second slot only if strictly smaller than the incumbent second.
+  // out_d1 <= out_d2 throughout, so out_d2 bounds both updates.
   PanelScan(points, rows, point_norms, panels, center_norms, expanded,
             IndexRange{0, panels.num_centers()},
+            [out_d2](int64_t p) { return out_d2[p]; },
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               for (int64_t j = 0; j < count; ++j) {
@@ -734,6 +874,7 @@ void BatchTopM(ConstMatrixView points, IndexRange rows,
   // ascending index and slot 0 reproduces BatchNearestMerge exactly.
   PanelScan(points, rows, point_norms, panels, center_norms, expanded,
             IndexRange{0, panels.num_centers()},
+            [out_d2, m](int64_t p) { return out_d2[p * m + m - 1]; },
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               double* pd = out_d2 + p * m;
@@ -772,7 +913,7 @@ void BatchNearestMergeSubset(ConstMatrixView points, IndexRange rows,
   // Same strict-< ascending merge as the full-set overload, with the
   // lane window clipped to the subset on the boundary panels.
   PanelScan(points, rows, point_norms, panels, center_norms, expanded,
-            centers,
+            centers, [best_d2](int64_t p) { return best_d2[p]; },
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               const int64_t j_lo = std::max<int64_t>(0, centers.begin - c_off);
@@ -813,6 +954,7 @@ void BatchTopMSubset(ConstMatrixView points, IndexRange rows,
   // BatchTopM's sorted-insertion merge, lane-clipped to the subset.
   PanelScan(points, rows, point_norms, panels, center_norms, expanded,
             centers,
+            [out_d2, m](int64_t p) { return out_d2[p * m + m - 1]; },
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               const int64_t j_lo = std::max<int64_t>(0, centers.begin - c_off);
@@ -848,12 +990,22 @@ void BatchDistances(ConstMatrixView points, IndexRange rows,
       EnsurePointNorms(points, rows, expanded, point_norms, &pn_storage);
   const int64_t k = panels.num_centers();
   PanelScan(points, rows, point_norms, panels, center_norms, expanded,
-            IndexRange{0, k},
+            IndexRange{0, k}, NoSkip{},
             [&](int64_t p, int64_t c_off, int64_t count,
                 const double* d2v) {
               std::memcpy(out_d2 + p * k + c_off, d2v,
                           static_cast<size_t>(count) * sizeof(double));
             });
+}
+
+const char* BatchKernelIsa() {
+#if defined(__x86_64__)
+  // Detects instead of reading kUseAvx*: a caller running during static
+  // initialization may come before those flags are set.
+  return DetectAvx512() ? "avx512" : DetectAvx2Fma() ? "avx2" : "scalar";
+#else
+  return "scalar";
+#endif
 }
 
 double PairSquaredL2(const double* a, const double* b, int64_t dim) {

@@ -26,25 +26,34 @@
 //    calls (CenterPanels) — the packing cost matters when callers scan
 //    few rows per call (minibatch batches, streaming blocks, the
 //    per-chunk ranges of a parallel pass).
-//  * Register micro-kernel: kMicroPoints points × one panel of
-//    kCenterTile centers are accumulated simultaneously in independent
-//    chains (explicit AVX2+FMA on capable x86-64, selected once at
-//    startup; portable scalar otherwise), giving the FMA units enough
-//    ILP to run at throughput instead of latency. The residue panel
-//    (k mod kCenterTile centers, e.g. the one new center of a k-means++
-//    step) has too few lanes for that, so its kernel interleaves 2–8
-//    point rows instead.
+//  * Register micro-kernels, one set selected per machine at startup
+//    (BatchKernelIsa names it): a group of point rows × one panel of
+//    kCenterTile centers is accumulated in independent chains, giving
+//    the FMA units enough ILP to run at throughput instead of latency.
+//    With AVX-512F a full panel takes 8 rows per call (16 zmm chains);
+//    the same call converts expanded sums to clamped distances and
+//    screens them against the reduction's current bound in registers,
+//    so rows with nothing to merge skip the merge. Rows left over from
+//    the 8-row groups, and every full panel on AVX2+FMA machines, take
+//    the 2-row (8 ymm chains) and 1-row kernels; machines without FMA
+//    run portable scalar loops. The residue panel (k mod kCenterTile
+//    centers, e.g. the one new center of a k-means++ step) has too few
+//    lanes for that, so its AVX2 kernel interleaves 2–8 point rows
+//    instead. The AVX-512 and AVX2 kernels produce the same bytes: each
+//    lane is the same single fma chain.
 //
 // Determinism contract: each (point, center) distance is accumulated in a
-// single chain in coordinate order, identical in the micro-kernel and in
-// the edge/residue paths (however the residue kernel groups point rows),
-// and center blocks are visited in ascending index order with strict-<
-// argmin updates. A point's result therefore depends
-// only on its own row and the center set — never on tile placement or
-// thread count — so parallel callers chunking by kDeterministicChunks get
-// bitwise-identical outputs at any parallelism. PairSquaredL2 and
+// single chain in coordinate order, identical in every micro-kernel and in
+// the edge/residue paths (however a kernel groups point rows), and center
+// blocks are visited in ascending index order with strict-< argmin
+// updates; a merge is skipped only when no distance is strictly below
+// the row's bound, i.e. when it could not change anything. A point's
+// result therefore depends only on its own row and the center set —
+// never on tile placement or thread count — so parallel callers chunking
+// by kDeterministicChunks get bitwise-identical outputs at any
+// parallelism. PairSquaredL2 and
 // PairDotProduct reproduce that per-pair chain (including the FMA
-// contraction of the AVX2 kernels) one pair at a time, so code that must
+// contraction of the SIMD kernels) one pair at a time, so code that must
 // interleave single distances with batched scans — the accelerated Lloyd
 // variants — stays bitwise-consistent with the engine.
 
@@ -63,12 +72,14 @@ namespace kmeansll {
 //
 // kCenterTile is the packed-panel width: each block of 16 center rows is
 // transposed into a t-major panel so the innermost step updates 16
-// contiguous per-center accumulators. At 4 doubles per AVX2 register
-// that is 4 accumulator vectors per point; the micro-kernel processes
-// kMicroPoints = 2 point rows at once, giving 8 independent FMA chains —
-// enough to hide the ~4-cycle FMA latency at 2 ops/cycle — while the
-// live set (8 accumulators + 4 panel loads + 2 broadcasts) stays within
-// the 16 SIMD registers of x86-64 without spilling.
+// contiguous per-center accumulators: 2 zmm registers per point row
+// with AVX-512 or 4 ymm registers with AVX2. The AVX-512 kernel takes 8
+// point rows per call (16 accumulators + 2 panel loads + 1 broadcast of
+// 32 registers); the AVX2 kernel takes 2 (8 accumulators + 4 panel
+// loads + 2 broadcasts of 16). Either way there are enough independent
+// FMA chains to hide the ~4-cycle FMA latency at 2 ops/cycle without
+// spilling. 8 divides kPointTile, so only a range's last point tile
+// has rows left over for the 2- and 1-row kernels.
 //
 // kPointTile bounds the rows streamed per panel visit: one panel
 // (kCenterTile · d doubles, 16 KiB at d = 128) stays L1-resident across
@@ -77,7 +88,11 @@ namespace kmeansll {
 // larger panels double the merge state without speeding up the dot loop.
 inline constexpr int64_t kPointTile = 64;
 inline constexpr int64_t kCenterTile = 16;
-inline constexpr int64_t kMicroPoints = 2;
+
+/// The instruction set of the full-panel micro-kernel this machine
+/// dispatched at startup: "avx512", "avx2" or "scalar". Fixed for the
+/// process; "avx512" and "avx2" produce the same bytes.
+const char* BatchKernelIsa();
 
 // Dimension at which the norm-expanded kernels overtake the plain
 // subtract-square kernels (shared by the batch engine and
@@ -274,7 +289,7 @@ void BatchDistances(ConstMatrixView points, IndexRange rows,
 
 /// Single-pair ||a − b||² evaluated with the engine's plain-kernel
 /// accumulation chain: one accumulator, coordinate order, fused
-/// multiply-add on machines where the AVX2+FMA micro-kernels are
+/// multiply-add on machines where the AVX2 or AVX-512 micro-kernels are
 /// dispatched. Bitwise identical to the plain batch kernels' per-pair
 /// values — unlike SquaredL2 (distance/l2.h), whose 4-way unrolled chains
 /// differ in final ulps. Use this (not SquaredL2) wherever a single

@@ -2,9 +2,9 @@
 // blocked kernels agree with the scalar NearestCenterSearch reference on
 // random and adversarial (duplicate / collinear) inputs, tie-breaking is
 // identical to a sequential ascending scan, the residue path at every
-// width reproduces the single-pair chains byte for byte, and every
-// consumer is bitwise-deterministic across thread counts (pool = null,
-// 1, 4).
+// width and the full-panel kernel at every row grouping reproduce the
+// single-pair chains byte for byte, and every consumer is
+// bitwise-deterministic across thread counts (pool = null, 1, 4).
 
 #include <gtest/gtest.h>
 
@@ -432,6 +432,175 @@ TEST(BatchResidueTest, EveryWidthBitwiseEqualsPairChains) {
                         std::vector<int32_t>(un, static_cast<int32_t>(c)));
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// --- Full panels: the dispatched multi-row micro-kernel ------------------
+
+// Full panels alone (k = 16, 32) and ahead of a residue (k = 21), at
+// every row count up to 17 (8-row groups plus 2- and 1-row leftovers)
+// and around the 64-row point tile, in both kernel regimes. Every entry
+// point must reduce exactly the single-pair chains' bytes with the
+// sequential strict-< scan's argmins, including incremental merges whose
+// incumbents let whole rows skip the merge. The dispatched kernel is
+// recorded as a test property, so a CI log shows which one ran.
+TEST(BatchFullPanelTest, EveryEntryPointBitwiseEqualsPairChains) {
+  RecordProperty("batch_kernel_isa", BatchKernelIsa());
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<int64_t> row_counts;
+  for (int64_t n = 1; n <= 17; ++n) row_counts.push_back(n);
+  for (int64_t n : {63, 64, 65, 130}) row_counts.push_back(n);
+  for (int64_t d : {1, 31, 32, 64}) {
+    for (BatchKernel kernel : {BatchKernel::kPlain, BatchKernel::kExpanded}) {
+      const bool expanded = kernel == BatchKernel::kExpanded;
+      for (int64_t k : {kCenterTile, 2 * kCenterTile, kCenterTile + 5}) {
+        Matrix centers = RandomMatrix(k, d, 5000 + 7 * k + d, 3.0);
+        std::vector<double> center_norms = RowSquaredNorms(centers);
+        CenterPanels panels;
+        panels.Pack(centers);
+        // Straddles a panel boundary at both ends for k > kCenterTile.
+        const IndexRange subset{3, k - 2};
+        for (int64_t n : row_counts) {
+          SCOPED_TRACE("d=" + std::to_string(d) +
+                       " expanded=" + std::to_string(expanded) +
+                       " k=" + std::to_string(k) +
+                       " n=" + std::to_string(n));
+          Matrix points = RandomMatrix(n, d, 6000 + 13 * n + d, 3.0);
+          // A NaN coordinate: every plain distance of row 5 is NaN (never
+          // merged), every expanded one clamps to +0.0.
+          if (n > 5) {
+            points.At(5, d / 2) = std::numeric_limits<double>::quiet_NaN();
+          }
+          const auto un = static_cast<size_t>(n);
+          std::vector<double> pair(static_cast<size_t>(n * k));
+          for (int64_t i = 0; i < n; ++i) {
+            for (int64_t c = 0; c < k; ++c) {
+              pair[static_cast<size_t>(i * k + c)] =
+                  expanded
+                      ? SquaredL2Expanded(
+                            SquaredNorm(points.Row(i), d),
+                            center_norms[static_cast<size_t>(c)],
+                            PairDotProduct(points.Row(i), centers.Row(c), d))
+                      : PairSquaredL2(points.Row(i), centers.Row(c), d);
+            }
+          }
+          // The sequential reference: merge centers [lo, hi) of row i
+          // into (best, index) in ascending order with strict <.
+          auto scan = [&](int64_t i, int64_t lo, int64_t hi, double* best,
+                          int32_t* index) {
+            for (int64_t c = lo; c < hi; ++c) {
+              const double v = pair[static_cast<size_t>(i * k + c)];
+              if (v < *best) {
+                *best = v;
+                *index = static_cast<int32_t>(c);
+              }
+            }
+          };
+
+          // Nearest: fresh (with and without an index), then incremental
+          // from three incumbents: just below every lane (every row
+          // skips), tied with the nearest lane, and tied with a middle
+          // lane. Ties must keep the incumbent.
+          for (int prefill = 0; prefill < 4; ++prefill) {
+            std::vector<double> best(un, inf), ref_best(un, inf);
+            std::vector<int32_t> index(un, -1), ref_index(un, -1);
+            for (int64_t i = 0; i < n; ++i) {
+              const auto ui = static_cast<size_t>(i);
+              double nearest = inf;
+              int32_t ignored = -1;
+              scan(i, 0, k, &nearest, &ignored);
+              if (prefill == 1) {
+                best[ui] = std::nextafter(nearest, -inf);
+              } else if (prefill == 2) {
+                best[ui] = nearest;
+              } else if (prefill == 3) {
+                best[ui] = pair[static_cast<size_t>(i * k + (i * 7) % k)];
+              }
+              if (prefill != 0) index[ui] = -7;
+              ref_best[ui] = best[ui];
+              ref_index[ui] = index[ui];
+              scan(i, 0, k, &ref_best[ui], &ref_index[ui]);
+            }
+            std::vector<double> no_index_best = best;
+            BatchNearestMerge(points, IndexRange{0, n}, nullptr, panels,
+                              center_norms.data(), kernel, best.data(),
+                              index.data());
+            EXPECT_TRUE(SameBytes(best, ref_best)) << "prefill " << prefill;
+            EXPECT_EQ(index, ref_index) << "prefill " << prefill;
+            BatchNearestMerge(points, IndexRange{0, n}, nullptr, panels,
+                              center_norms.data(), kernel,
+                              no_index_best.data(), nullptr);
+            EXPECT_TRUE(SameBytes(no_index_best, ref_best))
+                << "prefill " << prefill;
+          }
+
+          {
+            std::vector<double> best(un, inf), ref_best(un, inf);
+            std::vector<int32_t> index(un, -1), ref_index(un, -1);
+            for (int64_t i = 0; i < n; ++i) {
+              const auto ui = static_cast<size_t>(i);
+              scan(i, subset.begin, subset.end, &ref_best[ui],
+                   &ref_index[ui]);
+            }
+            BatchNearestMergeSubset(points.view(), IndexRange{0, n}, nullptr,
+                                    panels, center_norms.data(), kernel,
+                                    subset, best.data(), index.data());
+            EXPECT_TRUE(SameBytes(best, ref_best));
+            EXPECT_EQ(index, ref_index);
+          }
+
+          // Two-nearest, top-3 and dense rows against the same pairs.
+          std::vector<int32_t> two_index(un);
+          std::vector<double> d1(un), d2(un);
+          BatchTwoNearest(points, IndexRange{0, n}, nullptr, panels,
+                          center_norms.data(), kernel, two_index.data(),
+                          d1.data(), d2.data());
+          const int64_t m = 3;
+          std::vector<int32_t> top_index(static_cast<size_t>(n * m));
+          std::vector<double> top_d2(static_cast<size_t>(n * m));
+          BatchTopM(points, IndexRange{0, n}, nullptr, panels,
+                    center_norms.data(), kernel, m, top_index.data(),
+                    top_d2.data());
+          std::vector<double> dense(static_cast<size_t>(n * k));
+          BatchDistances(points, IndexRange{0, n}, nullptr, panels,
+                         center_norms.data(), kernel, dense.data());
+          EXPECT_TRUE(SameBytes(dense, pair));
+          std::vector<int32_t> ref_two_index(un, -1);
+          std::vector<double> ref_d1(un, inf), ref_d2(un, inf);
+          std::vector<int32_t> ref_top_index(static_cast<size_t>(n * m), -1);
+          std::vector<double> ref_top_d2(static_cast<size_t>(n * m), inf);
+          for (int64_t i = 0; i < n; ++i) {
+            const auto ui = static_cast<size_t>(i);
+            double* pd = ref_top_d2.data() + i * m;
+            int32_t* pi = ref_top_index.data() + i * m;
+            for (int64_t c = 0; c < k; ++c) {
+              const double v = pair[static_cast<size_t>(i * k + c)];
+              if (v < ref_d1[ui]) {
+                ref_d2[ui] = ref_d1[ui];
+                ref_d1[ui] = v;
+                ref_two_index[ui] = static_cast<int32_t>(c);
+              } else if (v < ref_d2[ui]) {
+                ref_d2[ui] = v;
+              }
+              int64_t slot = m;
+              while (slot > 0 && v < pd[slot - 1]) --slot;
+              if (slot == m) continue;
+              for (int64_t s = m - 1; s > slot; --s) {
+                pd[s] = pd[s - 1];
+                pi[s] = pi[s - 1];
+              }
+              pd[slot] = v;
+              pi[slot] = static_cast<int32_t>(c);
+            }
+          }
+          EXPECT_EQ(two_index, ref_two_index);
+          EXPECT_TRUE(SameBytes(d1, ref_d1));
+          EXPECT_TRUE(SameBytes(d2, ref_d2));
+          EXPECT_EQ(top_index, ref_top_index);
+          EXPECT_TRUE(SameBytes(top_d2, ref_top_d2));
         }
       }
     }

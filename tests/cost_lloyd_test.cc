@@ -1,9 +1,11 @@
 // Tests for clustering/cost and clustering/lloyd: cost/assignment
 // correctness, Lloyd convergence and invariants (monotone cost, fixed
-// points, empty-cluster repair, weighted == replicated equivalence).
+// points, empty-cluster repair, weighted == replicated equivalence, the
+// number of data passes per run).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -242,6 +244,64 @@ TEST(RunLloydTest, PoolAndSequentialAgree) {
   EXPECT_EQ(parallel->iterations, sequential->iterations);
   EXPECT_EQ(parallel->assignment.cost, sequential->assignment.cost);
   EXPECT_TRUE(parallel->centers == sequential->centers);
+}
+
+// Counts the rows every Pin hands out, so a test can tell how many data
+// passes a Lloyd run makes.
+class RowCountingSource final : public DatasetSource {
+ public:
+  explicit RowCountingSource(const Dataset& data)
+      : inner_(data.AsSource()) {}
+
+  int64_t n() const override { return inner_.n(); }
+  int64_t dim() const override { return inner_.dim(); }
+  bool has_weights() const override { return inner_.has_weights(); }
+  bool has_labels() const override { return inner_.has_labels(); }
+  double TotalWeight() const override { return inner_.TotalWeight(); }
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    PinnedBlock block = inner_.Pin(begin, end);
+    rows_pinned_.fetch_add(block.view().rows(), std::memory_order_relaxed);
+    return block;
+  }
+
+  int64_t rows_pinned() const { return rows_pinned_.load(); }
+
+ private:
+  InMemorySource inner_;
+  mutable std::atomic<int64_t> rows_pinned_{0};
+};
+
+// A fresh run makes exactly two passes per iteration (assign, then
+// accumulate) plus the final assignment: iteration 0 never reads a
+// "previous" assignment, so none is computed before the loop.
+TEST(RunLloydTest, FreshRunMakesNoPassBeforeTheFirstIteration) {
+  auto generated = data::GenerateGaussMixture(
+      {.n = 2000, .k = 10, .dim = 10, .center_stddev = 5.0,
+       .cluster_stddev = 1.0},
+      rng::Rng(36));
+  ASSERT_TRUE(generated.ok());
+  const Dataset& data = generated->data;
+  std::vector<int64_t> seeds;
+  for (int64_t i = 0; i < 10; ++i) seeds.push_back(i * 200);
+  Matrix start = data.points().GatherRows(seeds);
+  LloydOptions options;
+  options.max_iterations = 3;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    RowCountingSource counted(data);
+    auto result = RunLloyd(counted, start, options, p);
+    ASSERT_TRUE(result.ok());
+    // Neither convergence nor an empty-cluster repair (whose scan would
+    // add a pass) may cut the run short or lengthen it.
+    ASSERT_EQ(result->iterations, 3);
+    ASSERT_EQ(result->empty_cluster_repairs, 0);
+    // dim < kExpandedKernelMinDim: the plain kernel needs no norm pass.
+    EXPECT_EQ(counted.rows_pinned(), (2 * 3 + 1) * data.n());
+    auto direct = RunLloyd(data, start, options, p);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_TRUE(result->centers == direct->centers);  // bitwise
+    EXPECT_EQ(result->assignment.cost, direct->assignment.cost);
+  }
 }
 
 // Property sweep: Lloyd never increases cost from any seeding, across a
