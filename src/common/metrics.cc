@@ -101,17 +101,17 @@ void AppendPrometheusHistogram(const std::string& name,
   *out += " ";
   *out += std::to_string(snap.count);
   *out += "\n";
+  AppendPrometheusSample(name + "_sum", labels, snap.sum, out);
+  AppendPrometheusSample(name + "_count", labels, snap.count, out);
+}
+
+void AppendPrometheusSample(const std::string& name,
+                            const MetricLabels& labels, int64_t value,
+                            std::string* out) {
   *out += name;
-  *out += "_sum";
   *out += RenderLabels(labels);
   *out += " ";
-  *out += std::to_string(snap.sum);
-  *out += "\n";
-  *out += name;
-  *out += "_count";
-  *out += RenderLabels(labels);
-  *out += " ";
-  *out += std::to_string(snap.count);
+  *out += std::to_string(value);
   *out += "\n";
 }
 

@@ -150,6 +150,13 @@ void AppendPrometheusHistogram(const std::string& name,
                                const LatencyHistogram::Snapshot& snap,
                                std::string* out);
 
+/// Appends one `name{labels} value` sample line to `out`, label values
+/// escaped as the text format requires. Per-instance dumps
+/// (ServerRegistry::DumpPrometheusText) render their families with it.
+void AppendPrometheusSample(const std::string& name,
+                            const MetricLabels& labels, int64_t value,
+                            std::string* out);
+
 }  // namespace kmeansll
 
 #endif  // KMEANSLL_COMMON_METRICS_H_

@@ -696,6 +696,18 @@ struct ShardedDataset::Impl {
         ShardMetrics().stall_ns->Increment(waited);
         continue;
       }
+      if (shard.queued) {
+        // This demand map overtakes a queued hint: drop it. Left queued,
+        // the prefetcher would map the shard again after the scan has
+        // evicted it and moved on, pushing residency past the window,
+        // and its hold would refuse every later hint of the pass.
+        shard.queued = false;
+        prefetch_queue.erase(std::find(prefetch_queue.begin(),
+                                       prefetch_queue.end(),
+                                       static_cast<size_t>(&shard -
+                                                           shards.data())));
+        prefetch_hold_bytes -= shard.file_bytes;
+      }
       shard.mapping = true;
       const bool verify_crc = shard.has_crc && !shard.crc_checked;
       lock.unlock();

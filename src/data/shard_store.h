@@ -181,8 +181,10 @@ struct ShardedDatasetOptions {
 /// (double-buffered against the LRU window: the window prefers every
 /// unprotected candidate first and only reclaims a never-pinned
 /// prefetched shard as a last resort, counting it as wasted), so a hint
-/// can never evict rows ahead of their own scan. Hints are advisory and
-/// asynchronous; they change timing only, never bytes, so sharded runs
+/// can never evict rows ahead of their own scan. A demand pin that
+/// reaches a still-queued shard first drops its hint, so the prefetcher
+/// never maps a shard the scan has already passed. Hints are advisory
+/// and asynchronous; they change timing only, never bytes, so sharded runs
 /// stay bitwise identical to in-memory runs with prefetch on or off.
 class ShardedDataset final : public DatasetSource {
  public:

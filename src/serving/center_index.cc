@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
-#include "common/math_util.h"
 #include "common/metrics.h"
 #include "distance/batch.h"
 #include "distance/l2.h"
-#include "parallel/parallel_for.h"
 #include "rng/rng.h"
 
 namespace kmeansll::serving {
@@ -238,6 +235,7 @@ void CenterIndex::BuildPruned(ThreadPool* pool) {
   pruned_ = std::move(p);
 }
 
+
 int64_t CenterIndex::num_groups() const {
   return pruned_ != nullptr ? pruned_->coarse_centers.rows() : 0;
 }
@@ -251,164 +249,53 @@ PruneStats CenterIndex::prune_stats() const {
   return s;
 }
 
-void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
-                                  const double* point_norms,
-                                  int32_t* out_index,
-                                  double* out_d2) const {
-  const PrunedIndex& p = *pruned_;
-  const int64_t d = dim();
-  const int64_t n = rows.size();
-  if (n <= 0) return;
-  const int64_t g = p.coarse_centers.rows();
-  const double* group_norms = p.norms.empty() ? nullptr : p.norms.data();
-  const int64_t probe_limit = options_.approx_probes > 0
-                                  ? options_.approx_probes
-                                  : std::numeric_limits<int64_t>::max();
-
-  int64_t scanned_total = 0;
-  int64_t pruned_total = 0;
-  std::vector<double> pn_storage;
-  std::vector<double> coarse_d2(
-      static_cast<size_t>(std::min<int64_t>(n, kQueryTile) * g));
-  std::vector<std::pair<double, int32_t>> order;
-  order.reserve(p.active_groups.size());
-
-  for (int64_t tb = 0; tb < n; tb += kQueryTile) {
-    const int64_t te = std::min(tb + kQueryTile, n);
-    const int64_t tn = te - tb;
-    // Tile point norms with the shared SquaredNorm chain. The slack term
-    // needs ||x|| even under the plain kernel, so they are always
-    // materialized (bitwise interchangeable with caller-provided norms
-    // per the engine contract).
-    const double* pn;
-    if (point_norms != nullptr) {
-      pn = point_norms + tb;
-    } else {
-      pn_storage.resize(static_cast<size_t>(tn));
-      for (int64_t i = 0; i < tn; ++i) {
-        pn_storage[static_cast<size_t>(i)] =
-            SquaredNorm(points.Row(rows.begin + tb + i), d);
-      }
-      pn = pn_storage.data();
-    }
-    p.coarse->DistancesRange(points,
-                             IndexRange{rows.begin + tb, rows.begin + te},
-                             pn, coarse_d2.data());
-    for (int64_t i = 0; i < tn; ++i) {
-      const double* cd = coarse_d2.data() + i * g;
-      const double row_norm = pn[i];
-      const double slack =
-          kPruneSlackRel * (2.0 + p.max_center_len + std::sqrt(row_norm));
-      // Visit groups in ascending lower-bound order; once one group's
-      // bound clears the running best, every later group's does too, so
-      // the scan stops (break, not continue).
-      order.clear();
-      for (const int32_t j : p.active_groups) {
-        order.emplace_back(std::sqrt(cd[j]) -
-                               p.group_radius[static_cast<size_t>(j)],
-                           j);
-      }
-      std::sort(order.begin(), order.end());
-
-      double best_d2 = kInf;
-      int32_t best_orig = -1;
-      int64_t scanned = 0;
-      ConstMatrixView row_view(points.Row(rows.begin + tb + i), 1, d);
-      for (size_t oi = 0; oi < order.size(); ++oi) {
-        if (scanned >= probe_limit ||
-            (best_orig >= 0 &&
-             order[oi].first - slack > std::sqrt(best_d2))) {
-          pruned_total += static_cast<int64_t>(order.size() - oi);
-          break;
-        }
-        const int32_t j = order[oi].second;
-        double gd2 = kInf;
-        int32_t gidx = -1;
-        BatchNearestMergeSubset(
-            row_view, IndexRange{0, 1}, &row_norm, p.panels, group_norms,
-            p.kernel,
-            IndexRange{p.group_begin[static_cast<size_t>(j)],
-                       p.group_begin[static_cast<size_t>(j) + 1]},
-            &gd2, &gidx);
-        ++scanned;
-        // The group winner is already the in-group lexicographic min
-        // (strict-< over ascending original order); merge group winners
-        // lexicographically on (d², original index) since groups arrive
-        // in bound order, not index order.
-        const int32_t orig = p.perm_to_orig[static_cast<size_t>(gidx)];
-        if (gd2 < best_d2 || (gd2 == best_d2 && orig < best_orig)) {
-          best_d2 = gd2;
-          best_orig = orig;
-        }
-      }
-      scanned_total += scanned;
-      if (out_index != nullptr) out_index[tb + i] = best_orig;
-      out_d2[tb + i] = best_d2;
-    }
-  }
-  stat_queries_.fetch_add(n, std::memory_order_relaxed);
-  GetPruneMetrics().queries->Increment(static_cast<int64_t>(n));
-  stat_groups_scanned_.fetch_add(scanned_total, std::memory_order_relaxed);
-  GetPruneMetrics().groups_scanned->Increment(static_cast<int64_t>(scanned_total));
-  stat_groups_pruned_.fetch_add(pruned_total, std::memory_order_relaxed);
-  GetPruneMetrics().groups_pruned->Increment(static_cast<int64_t>(pruned_total));
+void CenterIndex::CountFallbacks(int64_t rows) const {
+  if (!options_.enable_pruning) return;
+  stat_exact_fallbacks_.fetch_add(rows, std::memory_order_relaxed);
+  GetPruneMetrics().exact_fallbacks->Increment(rows);
 }
 
-void CenterIndex::PrunedFindTopMRange(ConstMatrixView points,
-                                      IndexRange rows,
-                                      const double* point_norms, int64_t m,
-                                      int32_t* out_index,
-                                      double* out_d2) const {
+template <typename Visitor>
+void CenterIndex::PrunedScan(ConstMatrixView points, IndexRange rows,
+                             Visitor& visit) const {
   const PrunedIndex& p = *pruned_;
   const int64_t d = dim();
   const int64_t n = rows.size();
   if (n <= 0) return;
   const int64_t g = p.coarse_centers.rows();
-  const double* group_norms = p.norms.empty() ? nullptr : p.norms.data();
-  const int64_t probe_limit = options_.approx_probes > 0
-                                  ? options_.approx_probes
-                                  : std::numeric_limits<int64_t>::max();
-  // Slot-displacement order: lexicographic on (d², original index), with
-  // empty slots at (+inf, -1). This is exactly the flat BatchTopM
-  // outcome — ascending visit + strict-< keeps the m lexicographically
-  // smallest pairs — restated so it holds under out-of-order group
-  // visits.
-  const auto entry_less = [](double vd, int32_t vi, double sd, int32_t si) {
-    return vd < sd || (vd == sd && si >= 0 && vi < si);
-  };
+  const size_t probe_limit =
+      options_.approx_probes > 0
+          ? static_cast<size_t>(options_.approx_probes)
+          : std::numeric_limits<size_t>::max();
 
   int64_t scanned_total = 0;
   int64_t pruned_total = 0;
-  std::vector<double> pn_storage;
-  std::vector<double> coarse_d2(
-      static_cast<size_t>(std::min<int64_t>(n, kQueryTile) * g));
+  const int64_t tile = std::min<int64_t>(n, kQueryTile);
+  std::vector<double> pn(static_cast<size_t>(tile));
+  std::vector<double> coarse_d2(static_cast<size_t>(tile * g));
   std::vector<std::pair<double, int32_t>> order;
   order.reserve(p.active_groups.size());
-  std::vector<int32_t> gi(static_cast<size_t>(m));
-  std::vector<double> gd(static_cast<size_t>(m));
 
   for (int64_t tb = 0; tb < n; tb += kQueryTile) {
     const int64_t te = std::min(tb + kQueryTile, n);
-    const int64_t tn = te - tb;
-    const double* pn;
-    if (point_norms != nullptr) {
-      pn = point_norms + tb;
-    } else {
-      pn_storage.resize(static_cast<size_t>(tn));
-      for (int64_t i = 0; i < tn; ++i) {
-        pn_storage[static_cast<size_t>(i)] =
-            SquaredNorm(points.Row(rows.begin + tb + i), d);
-      }
-      pn = pn_storage.data();
+    // Tile point norms with the shared SquaredNorm chain. The slack term
+    // needs ||x|| even under the plain kernel, so they are always
+    // materialized.
+    for (int64_t i = 0; i < te - tb; ++i) {
+      pn[static_cast<size_t>(i)] =
+          SquaredNorm(points.Row(rows.begin + tb + i), d);
     }
     p.coarse->DistancesRange(points,
                              IndexRange{rows.begin + tb, rows.begin + te},
-                             pn, coarse_d2.data());
-    for (int64_t i = 0; i < tn; ++i) {
+                             pn.data(), coarse_d2.data());
+    for (int64_t i = 0; i < te - tb; ++i) {
       const double* cd = coarse_d2.data() + i * g;
-      const double row_norm = pn[i];
       const double slack =
-          kPruneSlackRel * (2.0 + p.max_center_len + std::sqrt(row_norm));
+          kPruneSlackRel * (2.0 + p.max_center_len +
+                            std::sqrt(pn[static_cast<size_t>(i)]));
+      // Visit groups in ascending lower-bound order; once one group's
+      // bound clears the visitor's bound, every later group's does too,
+      // so the scan stops there and the rest count as pruned.
       order.clear();
       for (const int32_t j : p.active_groups) {
         order.emplace_back(std::sqrt(cd[j]) -
@@ -417,105 +304,106 @@ void CenterIndex::PrunedFindTopMRange(ConstMatrixView points,
       }
       std::sort(order.begin(), order.end());
 
-      double* pd = out_d2 + (tb + i) * m;
-      int32_t* pi = out_index + (tb + i) * m;
-      for (int64_t s = 0; s < m; ++s) {
-        pd[s] = kInf;
-        pi[s] = -1;
-      }
-      int64_t scanned = 0;
+      visit.Begin(tb + i);
       ConstMatrixView row_view(points.Row(rows.begin + tb + i), 1, d);
-      for (size_t oi = 0; oi < order.size(); ++oi) {
-        // Skip only once all m slots are real (pd[m-1] < inf guarantees
-        // it) AND the bound proves no member can displace the worst
-        // slot; comparisons stay strict with the slack margin.
-        if (scanned >= probe_limit ||
-            (pd[m - 1] < kInf &&
-             order[oi].first - slack > std::sqrt(pd[m - 1]))) {
-          pruned_total += static_cast<int64_t>(order.size() - oi);
+      size_t oi = 0;
+      for (; oi < order.size(); ++oi) {
+        if (oi >= probe_limit ||
+            order[oi].first - slack > std::sqrt(visit.Bound())) {
           break;
         }
-        const int32_t j = order[oi].second;
-        BatchTopMSubset(
-            row_view, IndexRange{0, 1}, &row_norm, p.panels, group_norms,
-            p.kernel,
-            IndexRange{p.group_begin[static_cast<size_t>(j)],
-                       p.group_begin[static_cast<size_t>(j) + 1]},
-            m, gi.data(), gd.data());
-        ++scanned;
-        for (int64_t s = 0; s < m; ++s) {
-          if (gi[static_cast<size_t>(s)] < 0) break;
-          const double v = gd[static_cast<size_t>(s)];
-          const int32_t orig =
-              p.perm_to_orig[static_cast<size_t>(gi[static_cast<size_t>(s)])];
-          // Group entries ascend lexicographically; once one fails to
-          // displace the worst slot, the rest cannot either.
-          if (!entry_less(v, orig, pd[m - 1], pi[m - 1])) break;
-          int64_t s2 = m - 1;
-          while (s2 > 0 && entry_less(v, orig, pd[s2 - 1], pi[s2 - 1])) {
-            pd[s2] = pd[s2 - 1];
-            pi[s2] = pi[s2 - 1];
-            --s2;
-          }
-          pd[s2] = v;
-          pi[s2] = orig;
-        }
+        const size_t j = static_cast<size_t>(order[oi].second);
+        visit.Scan(row_view, &pn[static_cast<size_t>(i)],
+                   IndexRange{p.group_begin[j], p.group_begin[j + 1]});
       }
-      scanned_total += scanned;
+      visit.End();
+      scanned_total += static_cast<int64_t>(oi);
+      pruned_total += static_cast<int64_t>(order.size() - oi);
     }
   }
   stat_queries_.fetch_add(n, std::memory_order_relaxed);
-  GetPruneMetrics().queries->Increment(static_cast<int64_t>(n));
+  GetPruneMetrics().queries->Increment(n);
   stat_groups_scanned_.fetch_add(scanned_total, std::memory_order_relaxed);
-  GetPruneMetrics().groups_scanned->Increment(static_cast<int64_t>(scanned_total));
+  GetPruneMetrics().groups_scanned->Increment(scanned_total);
   stat_groups_pruned_.fetch_add(pruned_total, std::memory_order_relaxed);
-  GetPruneMetrics().groups_pruned->Increment(static_cast<int64_t>(pruned_total));
+  GetPruneMetrics().groups_pruned->Increment(pruned_total);
+}
+
+void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
+                                  int32_t* out_index,
+                                  double* out_d2) const {
+  // Bound() is the running best d²: it stays +inf until some group has
+  // merged a center, so no group is skipped before that.
+  struct Nearest {
+    const PrunedIndex& p;
+    int32_t* out_index;
+    double* out_d2;
+    int64_t row = 0;
+    double best_d2 = kInf;
+    int32_t best_orig = -1;
+
+    void Begin(int64_t i) {
+      row = i;
+      best_d2 = kInf;
+      best_orig = -1;
+    }
+    double Bound() const { return best_d2; }
+    void Scan(ConstMatrixView x, const double* x_norm, IndexRange group) {
+      double gd2 = kInf;
+      int32_t gidx = -1;
+      BatchNearestMergeSubset(x, IndexRange{0, 1}, x_norm, p.panels,
+                              p.norms.empty() ? nullptr : p.norms.data(),
+                              p.kernel, group, &gd2, &gidx);
+      // A group merges nothing when every distance fails strict-< against
+      // +inf (a NaN or ±inf coordinate under the plain kernel); the flat
+      // scan then answers (-1, +inf), and so does this one.
+      if (gidx < 0) return;
+      // The group winner is already the in-group lexicographic min
+      // (strict-< over ascending original order); merge group winners
+      // lexicographically on (d², original index) since groups arrive
+      // in bound order, not index order.
+      const int32_t orig = p.perm_to_orig[static_cast<size_t>(gidx)];
+      if (gd2 < best_d2 || (gd2 == best_d2 && orig < best_orig)) {
+        best_d2 = gd2;
+        best_orig = orig;
+      }
+    }
+    void End() {
+      if (out_index != nullptr) out_index[row] = best_orig;
+      out_d2[row] = best_d2;
+    }
+  };
+  Nearest visit{*pruned_, out_index, out_d2};
+  PrunedScan(points, rows, visit);
 }
 
 NearestResult CenterIndex::AssignOne(const double* point) const {
   if (pruned_ != nullptr) {
     int32_t idx = -1;
-    double d2 = kInf;
-    PrunedFindRange(ConstMatrixView(point, 1, dim()), IndexRange{0, 1},
-                    /*point_norms=*/nullptr, &idx, &d2);
     NearestResult r;
+    PrunedFindRange(ConstMatrixView(point, 1, dim()), IndexRange{0, 1}, &idx,
+                    &r.distance2);
     r.index = idx;
-    r.distance2 = d2;
     return r;
   }
-  if (options_.enable_pruning) {
-    stat_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(1));
-  }
+  CountFallbacks(1);
   return search_.Find(point);
 }
 
 void CenterIndex::AssignRange(ConstMatrixView points, IndexRange rows,
                               int32_t* out_index, double* out_d2) const {
   KMEANSLL_CHECK_EQ(points.cols(), dim());
+  std::vector<double> d2;
+  if (out_d2 == nullptr) {
+    d2.resize(static_cast<size_t>(rows.size()));
+    out_d2 = d2.data();
+  }
   if (pruned_ != nullptr) {
-    if (out_d2 != nullptr) {
-      PrunedFindRange(points, rows, /*point_norms=*/nullptr, out_index,
-                      out_d2);
-      return;
-    }
-    std::vector<double> d2(static_cast<size_t>(rows.size()));
-    PrunedFindRange(points, rows, /*point_norms=*/nullptr, out_index,
-                    d2.data());
+    PrunedFindRange(points, rows, out_index, out_d2);
     return;
   }
-  if (options_.enable_pruning) {
-    stat_exact_fallbacks_.fetch_add(rows.size(), std::memory_order_relaxed);
-    GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(rows.size()));
-  }
-  if (out_d2 != nullptr) {
-    search_.FindRange(points, rows, /*point_norms=*/nullptr, out_index,
-                      out_d2);
-    return;
-  }
-  std::vector<double> d2(static_cast<size_t>(rows.size()));
-  search_.FindRange(points, rows, /*point_norms=*/nullptr, out_index,
-                    d2.data());
+  CountFallbacks(rows.size());
+  search_.FindRange(points, rows, /*point_norms=*/nullptr, out_index, out_d2);
 }
 
 Assignment CenterIndex::AssignBatch(const DatasetSource& data,
@@ -524,42 +412,8 @@ Assignment CenterIndex::AssignBatch(const DatasetSource& data,
   KMEANSLL_CHECK_EQ(data.dim(), dim());
   Assignment out;
   out.cluster.assign(static_cast<size_t>(data.n()), -1);
-  if (pruned_ == nullptr) {
-    if (options_.enable_pruning) {
-      stat_exact_fallbacks_.fetch_add(data.n(), std::memory_order_relaxed);
-      GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(data.n()));
-    }
-    out.cost = ReduceNearestWithSearch(data, search_, pool, point_norms,
-                                       out.cluster.data());
-    return out;
-  }
-  // Pruned reduction mirroring ReduceNearestWithSearch's skeleton — same
-  // chunk grid, same block walk, same per-chunk Kahan chains combined in
-  // chunk order. The pruned per-row d² are bitwise the flat scan's (in
-  // exact mode), so the whole fold — indices AND cost — is too.
-  const ScanSchedule schedule = MakeScanSchedule(data, data.n(), pool);
-  auto map = [&](IndexRange r) {
-    KahanSum partial;
-    ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
-      const int64_t first = v.first_row();
-      std::vector<double> d2(static_cast<size_t>(v.rows()));
-      PrunedFindRange(v.points(), IndexRange{0, v.rows()},
-                      point_norms == nullptr ? nullptr
-                                             : point_norms + first,
-                      out.cluster.data() + first, d2.data());
-      for (int64_t i = 0; i < v.rows(); ++i) {
-        partial.Add(v.Weight(i) * d2[static_cast<size_t>(i)]);
-      }
-    });
-    return partial;
-  };
-  auto combine = [](KahanSum a, KahanSum b) {
-    a.Merge(b);
-    return a;
-  };
-  out.cost = ParallelReduce<KahanSum>(pool, data.n(), KahanSum(), map,
-                                      combine, &schedule)
-                 .Total();
+  out.cost = ReduceNearestWithSearch(data, search_, pool, point_norms,
+                                     out.cluster.data());
   return out;
 }
 
@@ -567,25 +421,13 @@ int64_t CenterIndex::AssignTopM(const double* point, int64_t m,
                                 std::vector<int32_t>* out_index,
                                 std::vector<double>* out_d2) const {
   KMEANSLL_CHECK_GT(m, 0);
-  std::vector<int32_t> idx(static_cast<size_t>(m));
-  std::vector<double> d2(static_cast<size_t>(m));
-  ConstMatrixView one(point, 1, dim());
-  if (pruned_ != nullptr) {
-    PrunedFindTopMRange(one, IndexRange{0, 1}, /*point_norms=*/nullptr, m,
-                        idx.data(), d2.data());
-  } else {
-    if (options_.enable_pruning) {
-      stat_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(1));
-    }
-    search_.FindTopMRange(one, IndexRange{0, 1}, /*point_norms=*/nullptr, m,
-                          idx.data(), d2.data());
-  }
+  out_index->resize(static_cast<size_t>(m));
+  out_d2->resize(static_cast<size_t>(m));
+  AssignTopMRange(ConstMatrixView(point, 1, dim()), IndexRange{0, 1}, m,
+                  out_index->data(), out_d2->data());
   const int64_t filled = std::min<int64_t>(m, k());
-  idx.resize(static_cast<size_t>(filled));
-  d2.resize(static_cast<size_t>(filled));
-  *out_index = std::move(idx);
-  *out_d2 = std::move(d2);
+  out_index->resize(static_cast<size_t>(filled));
+  out_d2->resize(static_cast<size_t>(filled));
   return filled;
 }
 
@@ -593,17 +435,65 @@ void CenterIndex::AssignTopMRange(ConstMatrixView points, IndexRange rows,
                                   int64_t m, int32_t* out_index,
                                   double* out_d2) const {
   KMEANSLL_CHECK_EQ(points.cols(), dim());
-  if (pruned_ != nullptr) {
-    PrunedFindTopMRange(points, rows, /*point_norms=*/nullptr, m, out_index,
-                        out_d2);
+  if (pruned_ == nullptr) {
+    CountFallbacks(rows.size());
+    search_.FindTopMRange(points, rows, /*point_norms=*/nullptr, m,
+                          out_index, out_d2);
     return;
   }
-  if (options_.enable_pruning) {
-    stat_exact_fallbacks_.fetch_add(rows.size(), std::memory_order_relaxed);
-    GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(rows.size()));
-  }
-  search_.FindTopMRange(points, rows, /*point_norms=*/nullptr, m, out_index,
-                        out_d2);
+  // Slot-displacement order: lexicographic on (d², original index), with
+  // empty slots at (+inf, -1). This is exactly the flat BatchTopM
+  // outcome — ascending visit + strict-< keeps the m lexicographically
+  // smallest pairs — restated so it holds under out-of-order group
+  // visits. Bound() is the worst slot, +inf until all m slots are real.
+  struct TopM {
+    const PrunedIndex& p;
+    int64_t m;
+    int32_t* out_index;
+    double* out_d2;
+    std::vector<int32_t> gi;
+    std::vector<double> gd;
+    int32_t* pi = nullptr;
+    double* pd = nullptr;
+
+    static bool Less(double vd, int32_t vi, double sd, int32_t si) {
+      return vd < sd || (vd == sd && si >= 0 && vi < si);
+    }
+    void Begin(int64_t i) {
+      pi = out_index + i * m;
+      pd = out_d2 + i * m;
+      std::fill(pi, pi + m, -1);
+      std::fill(pd, pd + m, kInf);
+    }
+    double Bound() const { return pd[m - 1]; }
+    void Scan(ConstMatrixView x, const double* x_norm, IndexRange group) {
+      BatchTopMSubset(x, IndexRange{0, 1}, x_norm, p.panels,
+                      p.norms.empty() ? nullptr : p.norms.data(), p.kernel,
+                      group, m, gi.data(), gd.data());
+      for (int64_t s = 0; s < m; ++s) {
+        const int32_t g = gi[static_cast<size_t>(s)];
+        if (g < 0) break;
+        const double v = gd[static_cast<size_t>(s)];
+        const int32_t orig = p.perm_to_orig[static_cast<size_t>(g)];
+        // Group entries ascend lexicographically; once one fails to
+        // displace the worst slot, the rest cannot either.
+        if (!Less(v, orig, pd[m - 1], pi[m - 1])) break;
+        int64_t s2 = m - 1;
+        while (s2 > 0 && Less(v, orig, pd[s2 - 1], pi[s2 - 1])) {
+          pd[s2] = pd[s2 - 1];
+          pi[s2] = pi[s2 - 1];
+          --s2;
+        }
+        pd[s2] = v;
+        pi[s2] = orig;
+      }
+    }
+    void End() {}
+  };
+  TopM visit{*pruned_, m, out_index, out_d2,
+             std::vector<int32_t>(static_cast<size_t>(m)),
+             std::vector<double>(static_cast<size_t>(m))};
+  PrunedScan(points, rows, visit);
 }
 
 double CenterIndex::MeasureApproxRecall(ConstMatrixView queries) const {
@@ -615,8 +505,7 @@ double CenterIndex::MeasureApproxRecall(ConstMatrixView queries) const {
   std::vector<double> d2(static_cast<size_t>(n));
   search_.FindRange(queries, IndexRange{0, n}, /*point_norms=*/nullptr,
                     exact_idx.data(), d2.data());
-  PrunedFindRange(queries, IndexRange{0, n}, /*point_norms=*/nullptr,
-                  served_idx.data(), d2.data());
+  PrunedFindRange(queries, IndexRange{0, n}, served_idx.data(), d2.data());
   int64_t matched = 0;
   for (int64_t i = 0; i < n; ++i) {
     if (exact_idx[static_cast<size_t>(i)] ==

@@ -29,19 +29,22 @@
 //
 // Determinism contract (extends distance/batch.h): AssignBatch runs the
 // exact reduction ComputeAssignment runs (clustering/cost.h,
-// ReduceNearestWithSearch) over this index's frozen panels, so its
+// ReduceNearestWithSearch) over this index's frozen flat panels, so its
 // Assignment — indices, cost, and tie resolution — is bitwise identical
-// to ComputeAssignment on the same centers at any pool size. AssignOne
+// to ComputeAssignment on the same centers at any pool size. It never
+// takes the pruned path: pruning scans one query row at a time and lost
+// to the multi-row flat panel scan at every batch shape measured. AssignOne
 // is the engine's scalar reference path (bitwise-consistent per pair),
 // and AssignTopM's slot 0 is bitwise the AssignOne result. The pruned
-// exact mode PRESERVES all of this bitwise: per-pair engine values never
-// depend on panel placement, the in-group permutation keeps ascending
-// original order (so in-group strict-< ties resolve like the flat scan),
-// cross-group winners merge lexicographically on (d², original index),
-// and the skip test subtracts a conservative floating-point slack from
-// the bound before comparing strictly — a skipped group's members are
-// provably strictly farther than the running best, so neither values nor
-// tie resolution can change. Only the opt-in approximate mode
+// exact mode of AssignOne / AssignRange / AssignTopM(Range) PRESERVES
+// all of this bitwise: per-pair engine values never depend on panel
+// placement, the in-group permutation keeps ascending original order
+// (so in-group strict-< ties resolve like the flat scan), cross-group
+// winners merge lexicographically on (d², original index), and the skip
+// test subtracts a conservative floating-point slack from the bound
+// before comparing strictly — a skipped group's members are provably
+// strictly farther than the running best, so neither values nor tie
+// resolution can change. Only the opt-in approximate mode
 // (approx_probes > 0) may diverge, by bounding how many groups are
 // scanned; MeasureApproxRecall reports the resulting recall.
 
@@ -100,6 +103,8 @@ struct CenterIndexOptions {
 /// Snapshot of the pruned-path effectiveness counters (wait-free relaxed
 /// atomics, safe to read under concurrent traffic). Counters accumulate
 /// over the snapshot's lifetime — a publish/swap starts fresh ones.
+/// They count AssignOne / AssignRange / AssignTopM / AssignTopMRange
+/// rows; AssignBatch is always the flat reduction and is not counted.
 /// Invariant for pruned queries: groups_scanned + groups_pruned ==
 /// queries × (non-empty group count); approximate-mode probe cutoffs
 /// count the unvisited remainder as pruned.
@@ -179,16 +184,16 @@ class CenterIndex {
   /// ComputeAssignment(data, centers(), pool, point_norms) — same
   /// reduction, same chunk grid, same Kahan fold — with the packing cost
   /// already paid at Build. `point_norms` (length data.n()) may be null.
-  /// The pruned exact path preserves this bitwise (identical per-row d²
-  /// feed the identical per-chunk Kahan chains); only approx_probes > 0
-  /// may diverge.
+  /// Always the flat panel scan, on pruned indexes too (and in approximate
+  /// mode); it leaves prune_stats() untouched.
   Assignment AssignBatch(const DatasetSource& data,
                          ThreadPool* pool = nullptr,
                          const double* point_norms = nullptr) const;
 
   /// The m nearest centers of one point, ascending by distance (exact
-  /// ties: ascending center index). Writes min(m, k) entries and returns
-  /// that count; slot 0 matches AssignOne bitwise. m >= 1.
+  /// ties: ascending center index): a one-row AssignTopMRange into the
+  /// caller's vectors, trimmed to min(m, k) entries. Returns that count;
+  /// slot 0 matches AssignOne bitwise. m >= 1.
   int64_t AssignTopM(const double* point, int64_t m,
                      std::vector<int32_t>* out_index,
                      std::vector<double>* out_d2) const;
@@ -221,7 +226,7 @@ class CenterIndex {
     Matrix coarse_centers;              // g × d
     std::unique_ptr<NearestCenterSearch> coarse;  // frozen
     BatchKernel kernel = BatchKernel::kAuto;
-    double max_center_len = 0.0;  // slack scale, see PrunedScanRow
+    double max_center_len = 0.0;  // slack scale, see PrunedScan
   };
 
   CenterIndex(Matrix centers, data::ModelMetadata metadata,
@@ -233,17 +238,25 @@ class CenterIndex {
   /// leaves pruned_ null (flat serving) if the coarse build fails.
   void BuildPruned(ThreadPool* pool);
 
-  /// Pruned-path FindRange: per-row adaptive group scans, bitwise equal
-  /// to the flat FindRange in exact mode. `point_norms` (range-relative,
-  /// SquaredNorm chain) may be null.
-  void PrunedFindRange(ConstMatrixView points, IndexRange rows,
-                       const double* point_norms, int32_t* out_index,
-                       double* out_d2) const;
+  /// The one pruned scan. Tiles `rows` into kQueryTile-row query tiles
+  /// (SquaredNorm tile norms, one coarse DistancesRange per tile), visits
+  /// each row's non-empty groups in ascending lower-bound order, stops at
+  /// the approx_probes cap or at the first group whose slack-adjusted
+  /// bound clears sqrt(visit.Bound()), and updates the prune counters
+  /// once per call. The visitor supplies Begin(row) (range-relative),
+  /// Bound() (squared distance, +inf until a skip is possible),
+  /// Scan(row view, &row norm, permuted group range) and End().
+  template <typename Visitor>
+  void PrunedScan(ConstMatrixView points, IndexRange rows,
+                  Visitor& visit) const;
 
-  /// Pruned-path FindTopMRange (same slot semantics as the flat path).
-  void PrunedFindTopMRange(ConstMatrixView points, IndexRange rows,
-                           const double* point_norms, int64_t m,
-                           int32_t* out_index, double* out_d2) const;
+  /// PrunedScan with the nearest-center visitor: bitwise equal to the
+  /// flat FindRange in exact mode.
+  void PrunedFindRange(ConstMatrixView points, IndexRange rows,
+                       int32_t* out_index, double* out_d2) const;
+
+  /// Counts `rows` queries served flat although pruning was requested.
+  void CountFallbacks(int64_t rows) const;
 
   const Matrix centers_;  // declared before search_: search_ borrows it
   const data::ModelMetadata metadata_;

@@ -107,15 +107,19 @@ Result<ModelServer*> ServerRegistry::server(const std::string& name) {
 Result<ServerRegistry::TenantStats> ServerRegistry::stats(
     const std::string& name) const {
   KMEANSLL_ASSIGN_OR_RETURN(Tenant * tenant, Find(name));
+  return CollectStats(*tenant);
+}
+
+ServerRegistry::TenantStats ServerRegistry::CollectStats(
+    const Tenant& tenant) {
   TenantStats out;
-  out.batcher = tenant->batcher.stats();
-  out.server = tenant->server.stats();
-  out.topm_queries = tenant->topm_queries.load(std::memory_order_relaxed);
-  out.bulk_queries = tenant->bulk_queries.load(std::memory_order_relaxed);
-  out.bulk_rows = tenant->bulk_rows.load(std::memory_order_relaxed);
-  out.latency = tenant->latency.snapshot();
-  const std::shared_ptr<const CenterIndex> snapshot =
-      tenant->server.Acquire();
+  out.batcher = tenant.batcher.stats();
+  out.server = tenant.server.stats();
+  out.topm_queries = tenant.topm_queries.load(std::memory_order_relaxed);
+  out.bulk_queries = tenant.bulk_queries.load(std::memory_order_relaxed);
+  out.bulk_rows = tenant.bulk_rows.load(std::memory_order_relaxed);
+  out.latency = tenant.latency.snapshot();
+  const std::shared_ptr<const CenterIndex> snapshot = tenant.server.Acquire();
   out.pruned = snapshot->pruned();
   out.prune_groups = snapshot->num_groups();
   out.prune = snapshot->prune_stats();
@@ -149,19 +153,7 @@ std::string ServerRegistry::DumpPrometheusText() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     snaps.reserve(tenants_.size());
     for (const auto& [name, tenant] : tenants_) {
-      TenantStats s;
-      s.batcher = tenant->batcher.stats();
-      s.server = tenant->server.stats();
-      s.topm_queries = tenant->topm_queries.load(std::memory_order_relaxed);
-      s.bulk_queries = tenant->bulk_queries.load(std::memory_order_relaxed);
-      s.bulk_rows = tenant->bulk_rows.load(std::memory_order_relaxed);
-      s.latency = tenant->latency.snapshot();
-      const std::shared_ptr<const CenterIndex> snapshot =
-          tenant->server.Acquire();
-      s.pruned = snapshot->pruned();
-      s.prune_groups = snapshot->num_groups();
-      s.prune = snapshot->prune_stats();
-      snaps.emplace_back(name, std::move(s));
+      snaps.emplace_back(name, CollectStats(*tenant));
     }
   }
 
@@ -172,22 +164,7 @@ std::string ServerRegistry::DumpPrometheusText() const {
     out += "# HELP " + name + " " + help + "\n";
     out += "# TYPE " + name + " " + type + "\n";
     for (const auto& [model, s] : snaps) {
-      // Escape the three characters the format reserves in label values.
-      std::string escaped;
-      escaped.reserve(model.size());
-      for (char c : model) {
-        if (c == '\\') {
-          escaped += "\\\\";
-        } else if (c == '"') {
-          escaped += "\\\"";
-        } else if (c == '\n') {
-          escaped += "\\n";
-        } else {
-          escaped += c;
-        }
-      }
-      out += name + "{model=\"" + escaped + "\"} " +
-             std::to_string(value(s)) + "\n";
+      AppendPrometheusSample(name, {{"model", model}}, value(s), &out);
     }
   };
 

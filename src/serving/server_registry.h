@@ -183,6 +183,9 @@ class ServerRegistry {
   /// lock before doing any real work.
   Result<Tenant*> Find(const std::string& name) const;
 
+  /// One tenant's TenantStats, shared by stats() and DumpPrometheusText.
+  static TenantStats CollectStats(const Tenant& tenant);
+
   mutable std::shared_mutex mu_;  ///< guards the map, never query work
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
 };

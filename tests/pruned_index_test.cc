@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,8 +87,11 @@ struct Shape {
 // (257 points, 33 centers = two full panels + 1-lane tail).
 const Shape kShapes[] = {{300, 9, 8}, {257, 33, 48}, {128, 17, 32}};
 
-void ExpectBitwiseEqual(const CenterIndex& flat, const CenterIndex& pruned,
-                        const Matrix& queries, const char* label) {
+// Every per-query surface: AssignOne, AssignRange, AssignTopM and
+// AssignTopMRange.
+void ExpectQueriesBitwiseEqual(const CenterIndex& flat,
+                               const CenterIndex& pruned,
+                               const Matrix& queries, const char* label) {
   const int64_t n = queries.rows();
   const int64_t k = flat.k();
   SCOPED_TRACE(label);
@@ -110,16 +114,6 @@ void ExpectBitwiseEqual(const CenterIndex& flat, const CenterIndex& pruned,
     ASSERT_EQ(ia[i], ib[i]) << "range query " << i;
     ASSERT_EQ(da[i], db[i]) << "range query " << i;
     ASSERT_EQ(ia[i], ic[i]) << "range (null d2) query " << i;
-  }
-
-  // AssignBatch: clusters AND the Kahan-folded cost, serial and pooled.
-  Dataset data{Matrix(queries)};
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const Assignment a = flat.AssignBatch(data, p);
-    const Assignment b = pruned.AssignBatch(data, p);
-    ASSERT_EQ(a.cluster, b.cluster);
-    ASSERT_EQ(a.cost, b.cost) << "cost must be bitwise, pool=" << (p != nullptr);
   }
 
   // AssignTopM at several m, including m > k (padded contract).
@@ -151,6 +145,22 @@ void ExpectBitwiseEqual(const CenterIndex& flat, const CenterIndex& pruned,
   ASSERT_EQ(rda, rdb);
 }
 
+void ExpectBitwiseEqual(const CenterIndex& flat, const CenterIndex& pruned,
+                        const Matrix& queries, const char* label) {
+  ExpectQueriesBitwiseEqual(flat, pruned, queries, label);
+  SCOPED_TRACE(label);
+
+  // AssignBatch: clusters AND the Kahan-folded cost, serial and pooled.
+  Dataset data{Matrix(queries)};
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const Assignment a = flat.AssignBatch(data, p);
+    const Assignment b = pruned.AssignBatch(data, p);
+    ASSERT_EQ(a.cluster, b.cluster);
+    ASSERT_EQ(a.cost, b.cost) << "cost must be bitwise, pool=" << (p != nullptr);
+  }
+}
+
 TEST(PrunedIndexTest, BitwiseIdenticalToFlatAcrossSeedsAndShapes) {
   for (const Shape& s : kShapes) {
     for (const uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
@@ -177,6 +187,55 @@ TEST(PrunedIndexTest, BitwiseIdenticalToFlatAcrossSeedsAndShapes) {
                         clustered ? 1 : 0, static_cast<long long>(g));
           ExpectBitwiseEqual(*flat, *pruned, queries, label);
         }
+      }
+    }
+  }
+}
+
+TEST(PrunedIndexTest, NonFiniteQueriesAnswerLikeFlat) {
+  // A NaN or ±inf coordinate makes every plain-kernel distance fail
+  // strict-< against +inf, so the flat scan answers (-1, +inf) and the
+  // pruned scan must too (without indexing its permutation at -1). The
+  // expanded kernel clamps such distances instead; both must still
+  // agree. AssignBatch is checked here, not through ExpectBitwiseEqual,
+  // because its Kahan-folded cost over these rows is NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Shape& s : kShapes) {
+    if (s.d != 8 && s.d != 48) continue;  // plain and expanded kernels
+    for (const bool clustered : {false, true}) {
+      Matrix centers = clustered ? ClusteredMatrix(s.k, s.d, 4, 5 + s.d)
+                                 : RandomMatrix(s.k, s.d, 5 + s.d, 3.0);
+      Matrix queries = clustered ? ClusteredMatrix(s.n, s.d, 4, 7 + s.d)
+                                 : RandomMatrix(s.n, s.d, 7 + s.d, 3.0);
+      queries.At(0, 0) = nan;
+      queries.At(1, s.d - 1) = inf;
+      queries.At(2, 3) = -inf;
+      for (int64_t j = 0; j < s.d; ++j) queries.At(65, j) = nan;
+      queries.At(130, 1) = inf;
+      queries.At(130, 2) = -inf;
+      queries.At(131, 4) = nan;
+      queries.At(131, 5) = inf;
+      const auto flat = CenterIndex::Build(Matrix(centers));
+      for (const int64_t g : {int64_t{0}, int64_t{2}}) {
+        const auto pruned =
+            CenterIndex::Build(Matrix(centers), PrunedOptions(g));
+        ASSERT_TRUE(pruned->pruned());
+        char label[64];
+        std::snprintf(label, sizeof(label), "d=%lld clustered=%d g=%lld",
+                      static_cast<long long>(s.d), clustered ? 1 : 0,
+                      static_cast<long long>(g));
+        ExpectQueriesBitwiseEqual(*flat, *pruned, queries, label);
+        if (s.d < 32) {
+          EXPECT_EQ(pruned->AssignOne(queries.Row(0)).index, -1) << label;
+          EXPECT_EQ(pruned->AssignOne(queries.Row(1)).distance2, inf)
+              << label;
+        }
+        Dataset data{Matrix(queries)};
+        const Assignment a = flat->AssignBatch(data);
+        const Assignment b = pruned->AssignBatch(data);
+        EXPECT_EQ(a.cluster, b.cluster) << label;
+        EXPECT_EQ(std::memcmp(&a.cost, &b.cost, sizeof(double)), 0) << label;
       }
     }
   }
@@ -290,6 +349,27 @@ TEST(PrunedIndexTest, PruneStatsInvariants) {
   EXPECT_LE(active, index->num_groups());
   // Clustered data must actually prune (this is the tentpole's point).
   EXPECT_GT(s.groups_pruned, 0);
+
+  // The top-m scan shares the counters and the same identity.
+  const int64_t m = 3;
+  std::vector<int32_t> tidx(queries.rows() * m);
+  std::vector<double> td2(queries.rows() * m);
+  index->AssignTopMRange(queries.view(), IndexRange{0, queries.rows()}, m,
+                         tidx.data(), td2.data());
+  const PruneStats t = index->prune_stats();
+  EXPECT_EQ(t.queries, 2 * queries.rows());
+  EXPECT_EQ(t.exact_fallbacks, 0);
+  EXPECT_GE(t.groups_scanned - s.groups_scanned, queries.rows());
+  EXPECT_EQ(t.groups_scanned + t.groups_pruned, t.queries * active);
+
+  // Bulk assignment is the flat reduction and counts nothing.
+  const Assignment bulk = index->AssignBatch(Dataset{Matrix(queries)});
+  EXPECT_EQ(bulk.cluster, idx);
+  const PruneStats u = index->prune_stats();
+  EXPECT_EQ(u.queries, t.queries);
+  EXPECT_EQ(u.groups_scanned, t.groups_scanned);
+  EXPECT_EQ(u.groups_pruned, t.groups_pruned);
+  EXPECT_EQ(u.exact_fallbacks, t.exact_fallbacks);
 }
 
 TEST(PrunedIndexTest, FallbackBelowMinPruneK) {

@@ -154,6 +154,28 @@ TEST(ServerRegistryTest, PerTenantTelemetryAccounting) {
   EXPECT_EQ(b.latency.count, 0);  // bulk is not a latency-path op
 }
 
+// Tenant names are label values: the kmll_tenant_* families must escape
+// backslash, quote and newline exactly as the text format requires.
+TEST(ServerRegistryTest, PrometheusEscapesTenantNames) {
+  ServerRegistry registry;
+  const std::string name = "a\\b\"c\n";
+  ASSERT_TRUE(
+      registry.Register(name, CenterIndex::Build(RandomMatrix(4, 3, 1))).ok());
+  const Matrix points = RandomMatrix(3, 3, 2);
+  for (int64_t i = 0; i < points.rows(); ++i) {
+    ASSERT_TRUE(registry.Assign(name, points.Row(i)).ok());
+  }
+  const std::string prom = registry.DumpPrometheusText();
+  const std::string label = "{model=\"a\\\\b\\\"c\\n\"}";
+  EXPECT_NE(prom.find("\nkmll_tenant_served_total" + label + " 3\n"),
+            std::string::npos)
+      << prom.substr(0, 2000);
+  EXPECT_NE(prom.find("\nkmll_tenant_latency_us_count" + label + " 3\n"),
+            std::string::npos);
+  // The raw name never reaches the scrape.
+  EXPECT_EQ(prom.find(name), std::string::npos);
+}
+
 TEST(ServerRegistryTest, PublishMovesOnlyTheNamedTenant) {
   const int64_t k = 8, d = 4;
   ServerRegistry registry;

@@ -12,11 +12,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
@@ -44,9 +47,24 @@ using data::ShardWriteOptions;
 using data::ShardWriter;
 using data::WriteShards;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_shard_" + name;
+// One directory per process, removed at exit: concurrent runs of this
+// binary (two ctest invocations, or a --repeat loop beside a full run)
+// otherwise rewrite each other's shard files while they are mmap'd,
+// which kills the reading process with SIGBUS.
+const std::string& TempRoot() {
+  static const struct Root {
+    std::string path = ::testing::TempDir() + "kmll_shard_" +
+                       std::to_string(static_cast<long>(::getpid())) + "/";
+    Root() { std::filesystem::create_directories(path); }
+    ~Root() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } root;
+  return root.path;
 }
+
+std::string TempPath(const std::string& name) { return TempRoot() + name; }
 
 /// Deterministic dataset: hashed-uniform coordinates, weights in
 /// (0.5, 1.5), labels i % 7.
@@ -112,7 +130,7 @@ TEST(ShardFormatTest, ShardsLoadStandaloneAndConcatenateToOriginal) {
 
   int64_t row = 0;
   for (const auto& info : written->shards) {
-    auto shard = data::ReadBinary(::testing::TempDir() + info.file);
+    auto shard = data::ReadBinary(TempRoot() + info.file);
     ASSERT_TRUE(shard.ok()) << shard.status().ToString();
     ASSERT_EQ(shard->n(), info.rows);
     ASSERT_EQ(shard->dim(), data.dim());
@@ -225,7 +243,7 @@ TEST(ShardFormatTest, CorruptShardMagicFailsAtOpen) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 2});
   ASSERT_TRUE(written.ok());
   {
-    std::fstream f(::testing::TempDir() + written->shards[1].file,
+    std::fstream f(TempRoot() + written->shards[1].file,
                    std::ios::binary | std::ios::in | std::ios::out);
     f.write("NOTADATA", 8);
   }
@@ -242,7 +260,7 @@ TEST(ShardFormatTest, TruncatedShardFailsAtOpen) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 3});
   ASSERT_TRUE(written.ok());
   // Short read: the header promises 20 rows but the file ends mid-points.
-  std::string shard_path = ::testing::TempDir() + written->shards[2].file;
+  std::string shard_path = TempRoot() + written->shards[2].file;
   std::ifstream in(shard_path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -263,7 +281,7 @@ TEST(ShardFormatTest, ShardHeaderMismatchFails) {
   ASSERT_TRUE(written.ok());
   // Replace shard 0 with a file whose header shape disagrees.
   ASSERT_TRUE(data::WriteBinary(
-                  b, ::testing::TempDir() + written->shards[0].file)
+                  b, TempRoot() + written->shards[0].file)
                   .ok());
   EXPECT_FALSE(ShardedDataset::Open(manifest).ok());
 }
@@ -277,7 +295,7 @@ TEST(ShardFormatTest, PayloadBitRotDegradesAtFirstMap) {
   // Flip one payload byte in shard 1: the header stays plausible, so
   // Open (which only validates manifests and headers) succeeds — the
   // shard's trailing CRC catches the rot at first map.
-  std::string shard_path = ::testing::TempDir() + written->shards[1].file;
+  std::string shard_path = TempRoot() + written->shards[1].file;
   {
     FILE* f = fopen(shard_path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
@@ -579,7 +597,7 @@ TEST(ShardWriterTest, StreamedAppendRoundTripsBitwise) {
     }
   });
   auto standalone =
-      data::ReadBinary(::testing::TempDir() + finalized->shards[1].file);
+      data::ReadBinary(TempRoot() + finalized->shards[1].file);
   ASSERT_TRUE(standalone.ok());
   EXPECT_EQ(standalone->n(), 40);
   EXPECT_EQ(standalone->Point(0)[0], data.Point(40)[0]);
